@@ -98,7 +98,8 @@ int main(int argc, char** argv) {
   EvalPlan plan = EvalPlan::Build(optimized);
   std::cout << "plan: " << plan.num_slots() << " slots in "
             << plan.num_layers() << " layers (widest "
-            << plan.max_layer_width() << ")\n";
+            << plan.max_layer_width() << "), " << plan.num_rows()
+            << " live rows\n";
 
   // Tropical tagging: edge i weighs 1 + (i mod 50).
   std::vector<uint64_t> weights(circuit.num_vars());

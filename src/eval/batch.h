@@ -4,17 +4,26 @@
 // provenance circuit and differ only in their EDB tagging, so the topology
 // walk (gate dispatch, layer scheduling, memory traffic over the plan) is
 // paid once per batch instead of once per query. Values live in
-// structure-of-arrays layout — vals[slot * B + b] — so the inner loop over
-// the batch is a tight, contiguous, auto-vectorizable sweep.
+// structure-of-arrays rows — vals[row * B + b] — so the inner loop over
+// the batch is a tight, contiguous sweep, walked in fixed-width lane blocks.
+//
+// Batch buffers hold rows, not slots: by default a sweep keeps only the
+// values still to be read (EvalPlan::row_of), so a plan of millions of
+// slots sweeps a buffer sized by its widest live set, and only outputs are
+// readable afterwards. Callers that need every slot — lane materialization
+// (IncrementalEvaluator::MaterializeBatch), whose states serve delta updates
+// and explains — sweep RowMap::kEverySlot instead.
 //
 // Parallelism composes with the Evaluator: wide layers are split across the
 // worker pool exactly as in single-assignment evaluation, with thresholds
-// scaled by the batch size.
+// scaled by the batch size. All kernels here run Evaluator::Sweep.
 #ifndef DLCIRC_EVAL_BATCH_H_
 #define DLCIRC_EVAL_BATCH_H_
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/eval/evaluator.h"
@@ -40,7 +49,7 @@ struct BatchAssignment {
   }
 
   /// Packs lanes [start, start + count) of `assignments` directly — no
-  /// intermediate copy of the lane vectors (used by EvaluateBatch tiling).
+  /// intermediate copy of the lane vectors (used by SweepInTiles).
   static BatchAssignment PackRange(
       const std::vector<std::vector<typename S::Value>>& assignments,
       size_t start, size_t count, uint32_t num_vars) {
@@ -60,10 +69,15 @@ struct BatchAssignment {
   }
 };
 
-/// Evaluates `plan` under all lanes of `batch` at once. On return, `slots`
-/// holds plan.num_slots() * batch_size values in slot-major SoA layout:
-/// value of slot s in lane b at (*slots)[s * batch_size + b].
-template <Semiring S>
+/// Evaluates `plan` under all lanes of `batch` at once. Under the default
+/// RowMap::kCompact, `slots` ends up holding plan.num_rows() rows of
+/// batch_size values, row-major: lane b of slot s was written to
+/// (*slots)[plan.row_of()[s] * batch_size + b], and rows are reused once
+/// their last reader has run, so only outputs survive the sweep: output k
+/// of lane b is at (*slots)[plan.output_rows()[k] * batch_size + b].
+/// RowMap::kEverySlot keeps one row per slot instead (row = slot). The
+/// buffer is resized, never cleared.
+template <Semiring S, RowMap kRows = RowMap::kCompact>
 void EvaluateBatchInto(const Evaluator& evaluator, const EvalPlan& plan,
                        const BatchAssignment<S>& batch,
                        std::vector<SlotValue<S>>* slots) {
@@ -71,91 +85,85 @@ void EvaluateBatchInto(const Evaluator& evaluator, const EvalPlan& plan,
   DLCIRC_CHECK_GT(B, 0u);
   DLCIRC_CHECK_LE(static_cast<size_t>(plan.num_vars()) * B,
                   batch.values.size());
-  slots->assign(plan.num_slots() * B, static_cast<SlotValue<S>>(S::Zero()));
-  const std::vector<Gate>& gates = plan.gates();
-  auto& vals = *slots;
-  const auto& in = batch.values;
-  evaluator.ForEachLayer(plan, /*work_per_gate=*/B, [&](size_t begin,
-                                                        size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const Gate& g = gates[i];
-      const size_t row = i * B;
-      switch (g.kind) {
-        case GateKind::kZero:
-          break;  // rows start at S::Zero()
-        case GateKind::kOne:
-          for (size_t b = 0; b < B; ++b) vals[row + b] = S::One();
-          break;
-        case GateKind::kInput: {
-          const size_t src = static_cast<size_t>(g.a) * B;
-          for (size_t b = 0; b < B; ++b) vals[row + b] = in[src + b];
-          break;
-        }
-        case GateKind::kPlus: {
-          const size_t ra = static_cast<size_t>(g.a) * B;
-          const size_t rb = static_cast<size_t>(g.b) * B;
-          for (size_t b = 0; b < B; ++b) {
-            vals[row + b] = S::Plus(vals[ra + b], vals[rb + b]);
-          }
-          break;
-        }
-        case GateKind::kTimes: {
-          const size_t ra = static_cast<size_t>(g.a) * B;
-          const size_t rb = static_cast<size_t>(g.b) * B;
-          for (size_t b = 0; b < B; ++b) {
-            vals[row + b] = S::Times(vals[ra + b], vals[rb + b]);
-          }
-          break;
-        }
-      }
-    }
-  });
+  slots->resize(RowsHeld<kRows>(plan) * B);
+  evaluator.Sweep<S, 0, kRows>(plan, batch.values, B, slots->data());
 }
 
-/// Convenience wrapper: evaluates and returns per-lane output vectors,
-/// result[b][k] = value of output k under assignment b (matching what
-/// Circuit::Evaluate would return for assignment b).
-///
-/// Lanes are processed in tiles sized so the slot-major value buffer stays
-/// within `tile_budget_bytes`: running all lanes of a huge plan at once
-/// inflates each layer's working set by the batch size and turns the sweep
-/// memory-bound, so beyond the budget it is faster to re-walk the (shared,
-/// already-compiled) plan once per tile. Small plans get one tile.
-template <Semiring S>
-std::vector<std::vector<typename S::Value>> EvaluateBatch(
-    const Evaluator& evaluator, const EvalPlan& plan,
-    const std::vector<std::vector<typename S::Value>>& assignments,
-    size_t tile_budget_bytes = size_t{32} << 20) {
+/// Byte budget of one batch sweep's buffer, shared by every tiled caller.
+/// Beyond it lanes are swept in tiles: a buffer far larger than the caches
+/// turns the sweep memory-bound, and re-walking the shared plan once per
+/// tile is then faster.
+inline constexpr size_t kTileBudgetBytes = size_t{32} << 20;
+
+/// The one tile rule: sweeps `assignments` through `plan` in tiles of as
+/// many lanes as fit `budget_bytes` (at least one), given the rows kRows
+/// holds, and after each tile calls consume(start, lanes, *buffer) with
+/// lanes [start, start + lanes) laid out as EvaluateBatchInto documents.
+template <Semiring S, RowMap kRows, typename Consume>
+void SweepInTiles(const Evaluator& evaluator, const EvalPlan& plan,
+                  const std::vector<std::vector<typename S::Value>>& assignments,
+                  size_t budget_bytes, std::vector<SlotValue<S>>* buffer,
+                  Consume&& consume) {
   const size_t B = assignments.size();
   DLCIRC_CHECK_GT(B, 0u);
-  const size_t per_lane_bytes =
-      std::max<size_t>(1, plan.num_slots() * sizeof(typename S::Value));
-  const size_t tile =
-      std::min(B, std::max<size_t>(1, tile_budget_bytes / per_lane_bytes));
-  std::vector<std::vector<typename S::Value>> out(
-      B, std::vector<typename S::Value>());
-  for (size_t b = 0; b < B; ++b) out[b].reserve(plan.num_outputs());
-  std::vector<SlotValue<S>> slots;
+  const size_t lane_bytes =
+      std::max<size_t>(1, RowsHeld<kRows>(plan) * sizeof(SlotValue<S>));
+  const size_t tile = std::clamp<size_t>(budget_bytes / lane_bytes, 1, B);
   for (size_t start = 0; start < B; start += tile) {
     const size_t lanes = std::min(tile, B - start);
     BatchAssignment<S> batch =
         BatchAssignment<S>::PackRange(assignments, start, lanes, plan.num_vars());
-    EvaluateBatchInto<S>(evaluator, plan, batch, &slots);
-    for (uint32_t slot : plan.output_slots()) {
-      const size_t row = static_cast<size_t>(slot) * lanes;
-      for (size_t b = 0; b < lanes; ++b) {
-        out[start + b].push_back(static_cast<typename S::Value>(slots[row + b]));
-      }
-    }
+    EvaluateBatchInto<S, kRows>(evaluator, plan, batch, buffer);
+    consume(start, lanes, *buffer);
   }
+}
+
+/// Convenience wrapper: evaluates and returns per-lane output vectors,
+/// result[b][k] = value of output k under assignment b (matching what
+/// Circuit::Evaluate would return for assignment b). Lanes are swept in
+/// tiles within `tile_budget_bytes` (SweepInTiles).
+template <Semiring S>
+std::vector<std::vector<typename S::Value>> EvaluateBatch(
+    const Evaluator& evaluator, const EvalPlan& plan,
+    const std::vector<std::vector<typename S::Value>>& assignments,
+    size_t tile_budget_bytes = kTileBudgetBytes) {
+  std::vector<std::vector<typename S::Value>> out(assignments.size());
+  for (auto& lane : out) lane.reserve(plan.num_outputs());
+  std::vector<SlotValue<S>> buffer;
+  SweepInTiles<S, RowMap::kCompact>(
+      evaluator, plan, assignments, tile_budget_bytes, &buffer,
+      [&](size_t start, size_t lanes, const std::vector<SlotValue<S>>& vals) {
+        for (uint32_t row : plan.output_rows()) {
+          for (size_t b = 0; b < lanes; ++b) {
+            out[start + b].push_back(static_cast<typename S::Value>(
+                vals[static_cast<size_t>(row) * lanes + b]));
+          }
+        }
+      });
   return out;
 }
 
+namespace internal {
+
+/// The Boolean semiring on 64 lanes at once, one lane per bit of a word:
+/// (+) is bitwise OR and (x) is bitwise AND.
+struct BitLanes {
+  using Value = uint64_t;
+  static Value Zero() { return 0; }
+  static Value One() { return ~uint64_t{0}; }
+  static Value Plus(Value a, Value b) { return a | b; }
+  static Value Times(Value a, Value b) { return a & b; }
+};
+
+}  // namespace internal
+
 /// Boolean batches taken to the SoA limit: 64 lanes per machine word. Lane b
-/// of slot s lives in bit (b % 64) of word vals[s * W + b / 64] with
-/// W = ceil(B / 64), so (+) is bitwise OR and (x) is bitwise AND — one word
-/// op evaluates a gate under 64 taggings at once. Returns result[b][k] =
-/// value of output k under assignment b, matching Circuit::Evaluate.
+/// of slot s lives in bit (b % 64) of word vals[row * W + b / 64] with
+/// W = ceil(B / 64) and row = plan.row_of()[s], so (+) is bitwise OR and (x)
+/// is bitwise AND — one word op evaluates a gate under 64 taggings at once.
+/// Returns result[b][k] = value of output k under assignment b, matching
+/// Circuit::Evaluate. Bits past lane B-1 are garbage; only the first B bits
+/// are ever unpacked.
 inline std::vector<std::vector<bool>> EvaluateBooleanBitBatch(
     const Evaluator& evaluator, const EvalPlan& plan,
     const std::vector<std::vector<bool>>& assignments) {
@@ -171,49 +179,20 @@ inline std::vector<std::vector<bool>> EvaluateBooleanBitBatch(
       if (assignments[b][v]) in[static_cast<size_t>(v) * W + b / 64] |= bit;
     }
   }
-  std::vector<uint64_t> vals(plan.num_slots() * W, 0);
-  const std::vector<Gate>& gates = plan.gates();
-  evaluator.ForEachLayer(plan, /*work_per_gate=*/W, [&](size_t begin,
-                                                        size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const Gate& g = gates[i];
-      const size_t row = i * W;
-      switch (g.kind) {
-        case GateKind::kZero:
-          break;  // rows start all-zero
-        case GateKind::kOne:
-          // Bits past lane B-1 are garbage either way; only the first B
-          // bits are ever unpacked.
-          for (size_t w = 0; w < W; ++w) vals[row + w] = ~0ULL;
-          break;
-        case GateKind::kInput: {
-          const size_t src = static_cast<size_t>(g.a) * W;
-          for (size_t w = 0; w < W; ++w) vals[row + w] = in[src + w];
-          break;
-        }
-        case GateKind::kPlus: {
-          const size_t ra = static_cast<size_t>(g.a) * W;
-          const size_t rb = static_cast<size_t>(g.b) * W;
-          for (size_t w = 0; w < W; ++w) {
-            vals[row + w] = vals[ra + w] | vals[rb + w];
-          }
-          break;
-        }
-        case GateKind::kTimes: {
-          const size_t ra = static_cast<size_t>(g.a) * W;
-          const size_t rb = static_cast<size_t>(g.b) * W;
-          for (size_t w = 0; w < W; ++w) {
-            vals[row + w] = vals[ra + w] & vals[rb + w];
-          }
-          break;
-        }
-      }
-    }
-  });
+  auto vals = std::make_unique_for_overwrite<uint64_t[]>(plan.num_rows() * W);
+  // Up to 64 lanes fit one word: a fixed one-word row keeps the per-gate
+  // work of a narrow burst to a single word op.
+  if (W == 1) {
+    evaluator.Sweep<internal::BitLanes, 1, RowMap::kCompact>(plan, in, W,
+                                                             vals.get());
+  } else {
+    evaluator.Sweep<internal::BitLanes, 0, RowMap::kCompact>(plan, in, W,
+                                                             vals.get());
+  }
   std::vector<std::vector<bool>> out(B,
                                      std::vector<bool>(plan.num_outputs()));
   for (size_t k = 0; k < plan.num_outputs(); ++k) {
-    const size_t row = static_cast<size_t>(plan.output_slots()[k]) * W;
+    const size_t row = static_cast<size_t>(plan.output_rows()[k]) * W;
     for (size_t b = 0; b < B; ++b) {
       out[b][k] = (vals[row + b / 64] >> (b % 64)) & 1;
     }

@@ -222,34 +222,27 @@ class IncrementalEvaluator {
   /// Materializes one EvalState per assignment through the batched SoA
   /// kernel: one (lane-tiled) batch sweep plus a transpose, instead of one
   /// full plan walk per lane — the batch amortization of batch.h applied to
-  /// serving startup. Tiling follows EvaluateBatch's byte budget.
+  /// serving startup. The sweep keeps every slot (RowMap::kEverySlot),
+  /// because states serve delta updates and explains; SweepInTiles tiles it.
   template <Semiring S>
   std::vector<EvalState<S>> MaterializeBatch(
       const EvalPlan& plan,
       const std::vector<std::vector<typename S::Value>>& assignments,
-      size_t tile_budget_bytes = size_t{32} << 20) const {
-    const size_t B = assignments.size();
-    DLCIRC_CHECK_GT(B, 0u);
-    std::vector<EvalState<S>> states(B);
-    const size_t per_lane_bytes =
-        std::max<size_t>(1, plan.num_slots() * sizeof(typename S::Value));
-    const size_t tile =
-        std::min(B, std::max<size_t>(1, tile_budget_bytes / per_lane_bytes));
-    std::vector<SlotValue<S>> slots;
-    for (size_t start = 0; start < B; start += tile) {
-      const size_t lanes = std::min(tile, B - start);
-      BatchAssignment<S> batch = BatchAssignment<S>::PackRange(
-          assignments, start, lanes, plan.num_vars());
-      EvaluateBatchInto<S>(*full_, plan, batch, &slots);
-      for (size_t b = 0; b < lanes; ++b) {
-        EvalState<S>& state = states[start + b];
-        state.assignment = assignments[start + b];
-        state.slots.resize(plan.num_slots());
-        for (size_t s = 0; s < plan.num_slots(); ++s) {
-          state.slots[s] = slots[s * lanes + b];
-        }
-      }
-    }
+      size_t tile_budget_bytes = kTileBudgetBytes) const {
+    std::vector<EvalState<S>> states(assignments.size());
+    std::vector<SlotValue<S>> buffer;
+    SweepInTiles<S, RowMap::kEverySlot>(
+        *full_, plan, assignments, tile_budget_bytes, &buffer,
+        [&](size_t start, size_t lanes, const std::vector<SlotValue<S>>& vals) {
+          for (size_t b = 0; b < lanes; ++b) {
+            EvalState<S>& state = states[start + b];
+            state.assignment = assignments[start + b];
+            state.slots.resize(plan.num_slots());
+            for (size_t s = 0; s < plan.num_slots(); ++s) {
+              state.slots[s] = vals[s * lanes + b];
+            }
+          }
+        });
     return states;
   }
 

@@ -103,7 +103,52 @@ EvalPlan EvalPlan::Build(const Circuit& circuit) {
       plan.var_input_slots_[var_cursor[g.a]++] = s;
     }
   }
+  plan.DeriveRows();
   return plan;
+}
+
+void EvalPlan::DeriveRows() {
+  const size_t n = gates_.size();
+  const auto is_op = [](const Gate& g) {
+    return g.kind == GateKind::kPlus || g.kind == GateKind::kTimes;
+  };
+  // last_reader[s]: the highest slot that reads s, s itself when none does,
+  // kKeep for outputs. Slots are layer-ordered, so the last reader sits in
+  // the last layer that reads s.
+  constexpr uint32_t kKeep = UINT32_MAX;
+  std::vector<uint32_t> last_reader(n);
+  for (uint32_t s = 0; s < n; ++s) {
+    last_reader[s] = s;
+    const Gate& g = gates_[s];
+    if (is_op(g)) last_reader[g.a] = last_reader[g.b] = s;
+  }
+  for (uint32_t s : output_slots_) last_reader[s] = kKeep;
+
+  // Rows freed during layer L join the free list when layer L+1 starts, so
+  // no gate writes a row that its own layer still reads.
+  row_of_.resize(n);
+  num_rows_ = 0;
+  std::vector<uint32_t> free_rows, freed;
+  for (size_t l = 0; l + 1 < layer_starts_.size(); ++l) {
+    free_rows.insert(free_rows.end(), freed.begin(), freed.end());
+    freed.clear();
+    for (uint32_t s = layer_starts_[l]; s < layer_starts_[l + 1]; ++s) {
+      if (free_rows.empty()) {
+        row_of_[s] = static_cast<uint32_t>(num_rows_++);
+      } else {
+        row_of_[s] = free_rows.back();
+        free_rows.pop_back();
+      }
+      if (last_reader[s] == s) freed.push_back(row_of_[s]);
+      const Gate& g = gates_[s];
+      if (!is_op(g)) continue;
+      if (last_reader[g.a] == s) freed.push_back(row_of_[g.a]);
+      if (g.b != g.a && last_reader[g.b] == s) freed.push_back(row_of_[g.b]);
+    }
+  }
+  output_rows_.clear();
+  output_rows_.reserve(output_slots_.size());
+  for (uint32_t s : output_slots_) output_rows_.push_back(row_of_[s]);
 }
 
 EvalPlan EvalPlan::FromParts(Parts parts) {
@@ -146,6 +191,7 @@ EvalPlan EvalPlan::FromParts(Parts parts) {
       DLCIRC_CHECK_LT(g.a, plan.num_vars_);
     }
   }
+  plan.DeriveRows();
   return plan;
 }
 

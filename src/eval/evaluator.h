@@ -54,7 +54,8 @@ class EvalPlan {
   /// Reconstitutes a plan from serialized parts. CHECK-fails on structurally
   /// inconsistent parts (sizes, monotonicity, slot ranges) — corruption
   /// beyond what the snapshot checksum caught is a program error, not a
-  /// recoverable condition. max_layer_width is rederived.
+  /// recoverable condition. max_layer_width and the row map are rederived
+  /// after those checks.
   static EvalPlan FromParts(Parts parts);
 
   /// Cone gates, slot-indexed; children of kPlus/kTimes are slot ids.
@@ -85,6 +86,17 @@ class EvalPlan {
   /// search per marked gate).
   const std::vector<uint32_t>& layer_of() const { return layer_of_; }
 
+  /// Buffer row of each slot in a compact sweep (RowMap::kCompact), which
+  /// holds only the values still to be read. A slot's row is released after
+  /// the last layer that reads it and reused from the next layer on, so no
+  /// gate writes a row that a gate of its own layer still reads; rows of
+  /// output slots are never released. Derived, not serialized.
+  const std::vector<uint32_t>& row_of() const { return row_of_; }
+  /// Row of each circuit output, in the circuit's output order.
+  const std::vector<uint32_t>& output_rows() const { return output_rows_; }
+  /// Rows a compact sweep holds: the peak number of live values.
+  size_t num_rows() const { return num_rows_; }
+
   size_t num_slots() const { return gates_.size(); }
   size_t num_layers() const { return layer_starts_.size() - 1; }
   size_t num_outputs() const { return output_slots_.size(); }
@@ -93,6 +105,10 @@ class EvalPlan {
   size_t max_layer_width() const { return max_layer_width_; }
 
  private:
+  /// Fills row_of_, output_rows_ and num_rows_ from the gates, layers and
+  /// outputs (see row_of()).
+  void DeriveRows();
+
   std::vector<Gate> gates_;
   std::vector<uint32_t> layer_starts_ = {0};
   std::vector<uint32_t> output_slots_;
@@ -101,9 +117,47 @@ class EvalPlan {
   std::vector<uint32_t> var_starts_ = {0};
   std::vector<uint32_t> var_input_slots_;
   std::vector<uint32_t> layer_of_;
+  std::vector<uint32_t> row_of_;
+  std::vector<uint32_t> output_rows_;
   uint32_t num_vars_ = 0;
   size_t max_layer_width_ = 0;
+  size_t num_rows_ = 0;
 };
+
+/// Where a sweep stores each slot's value.
+enum class RowMap {
+  kEverySlot,  ///< row = slot: every value stays readable after the sweep
+  kCompact,    ///< row = plan.row_of()[slot]: only outputs stay readable
+};
+
+/// Rows a sweep over `plan` holds under row map `kRows`.
+template <RowMap kRows>
+size_t RowsHeld(const EvalPlan& plan) {
+  return kRows == RowMap::kCompact ? plan.num_rows() : plan.num_slots();
+}
+
+namespace internal {
+
+/// Runtime-width lane loops advance in blocks of this many lanes, so the
+/// per-gate inner loop has a fixed trip count the compiler unrolls.
+inline constexpr size_t kLaneBlock = 8;
+
+/// Calls f(b) for every lane b < width. kWidth > 0 fixes the width at
+/// compile time; kWidth == 0 walks `width` in kLaneBlock blocks plus a tail.
+template <size_t kWidth, typename F>
+inline void ForEachLane(size_t width, F&& f) {
+  if constexpr (kWidth > 0) {
+    for (size_t b = 0; b < kWidth; ++b) f(b);
+  } else {
+    size_t b = 0;
+    for (; b + kLaneBlock <= width; b += kLaneBlock) {
+      for (size_t k = 0; k < kLaneBlock; ++k) f(b + k);
+    }
+    for (; b < width; ++b) f(b);
+  }
+}
+
+}  // namespace internal
 
 /// Element type of the per-slot scratch buffers. For bool-valued semirings
 /// this widens to unsigned char: std::vector<bool> packs 64 elements per
@@ -161,33 +215,74 @@ class Evaluator {
 
   /// Evaluates into a caller-owned per-slot buffer (resized to
   /// plan.num_slots()); reusing the buffer across calls avoids
-  /// reallocation on hot paths.
+  /// reallocation on hot paths. Keeps every slot's value: lane states,
+  /// delta updates and explains read interior slots.
   template <Semiring S>
   void EvaluateInto(const EvalPlan& plan,
                     const std::vector<typename S::Value>& assignment,
                     std::vector<SlotValue<S>>* slots) const {
-    slots->assign(plan.num_slots(), static_cast<SlotValue<S>>(S::Zero()));
-    const std::vector<Gate>& gates = plan.gates();
-    auto& vals = *slots;
-    ForEachLayer(plan, /*work_per_gate=*/1, [&](size_t begin, size_t end) {
+    slots->resize(plan.num_slots());
+    Sweep<S, 1, RowMap::kEverySlot>(plan, assignment, 1, slots->data());
+  }
+
+  /// The engine's one per-gate kernel, shared by EvaluateInto and the batch
+  /// sweeps of batch.h. Evaluates every slot of `plan` in topological order
+  /// over `Ops` (a semiring, or any type with its Zero/One/Plus/Times),
+  /// storing lane b of slot s at vals[row * width + b], where row is s under
+  /// RowMap::kEverySlot and plan.row_of()[s] under RowMap::kCompact; `vals`
+  /// must hold RowsHeld<kRows>(plan) * width elements. Lane b of variable v
+  /// is read from in[v * width + b]. kWidth > 0 fixes `width` at compile
+  /// time. Every row is written before it is read, so `vals` needs no
+  /// initialization.
+  template <typename Ops, size_t kWidth, RowMap kRows, typename T,
+            typename In>
+  void Sweep(const EvalPlan& plan, const In& in, size_t width, T* vals) const {
+    ForEachLayer(plan, width, [&](size_t begin, size_t end) {
+      // Locals, not captures: a store through `out` may alias a captured
+      // size_t, which would force a reload of the width on every gate.
+      const Gate* const gates = plan.gates().data();
+      const uint32_t* const row_of = plan.row_of().data();
+      const size_t w = kWidth > 0 ? kWidth : width;
+      T* const base = vals;
+      auto row = [=](size_t s) -> T* {
+        const size_t r = kRows == RowMap::kCompact ? row_of[s] : s;
+        return base + r * w;
+      };
       for (size_t i = begin; i < end; ++i) {
         const Gate& g = gates[i];
+        T* __restrict out = row(i);
         switch (g.kind) {
           case GateKind::kZero:
-            break;  // already S::Zero()
+            internal::ForEachLane<kWidth>(
+                w, [&](size_t b) { out[b] = static_cast<T>(Ops::Zero()); });
+            break;
           case GateKind::kOne:
-            vals[i] = S::One();
+            internal::ForEachLane<kWidth>(
+                w, [&](size_t b) { out[b] = static_cast<T>(Ops::One()); });
             break;
-          case GateKind::kInput:
-            DLCIRC_CHECK_LT(g.a, assignment.size());
-            vals[i] = assignment[g.a];
+          case GateKind::kInput: {
+            const size_t src = static_cast<size_t>(g.a) * w;
+            DLCIRC_CHECK_LE(src + w, in.size());
+            internal::ForEachLane<kWidth>(
+                w, [&](size_t b) { out[b] = static_cast<T>(in[src + b]); });
             break;
-          case GateKind::kPlus:
-            vals[i] = S::Plus(vals[g.a], vals[g.b]);
+          }
+          case GateKind::kPlus: {
+            const T* __restrict x = row(g.a);
+            const T* __restrict y = row(g.b);
+            internal::ForEachLane<kWidth>(w, [&](size_t b) {
+              out[b] = static_cast<T>(Ops::Plus(x[b], y[b]));
+            });
             break;
-          case GateKind::kTimes:
-            vals[i] = S::Times(vals[g.a], vals[g.b]);
+          }
+          case GateKind::kTimes: {
+            const T* __restrict x = row(g.a);
+            const T* __restrict y = row(g.b);
+            internal::ForEachLane<kWidth>(w, [&](size_t b) {
+              out[b] = static_cast<T>(Ops::Times(x[b], y[b]));
+            });
             break;
+          }
         }
       }
     });
@@ -198,7 +293,9 @@ class Evaluator {
   /// single-threaded), otherwise layer by layer with wide layers split
   /// across the worker pool. `work_per_gate` scales the parallelism
   /// thresholds (batch evaluation passes its batch size). This is the
-  /// scheduling core shared by EvaluateInto and batch.h.
+  /// scheduling core of Sweep. A layer's ranges may run concurrently, and
+  /// the barrier after each layer is what orders a row's last read before
+  /// a later layer rewrites it.
   void ForEachLayer(const EvalPlan& plan, size_t work_per_gate,
                     const std::function<void(size_t, size_t)>& eval_range) const;
 

@@ -1,12 +1,14 @@
 // Pooled evaluation scratch for concurrent serving (src/serve).
 //
-// Every batch sweep needs a slot-major value buffer of num_slots *
-// batch_size elements — tens of megabytes on real plans. A server dispatching
-// coalesced batches would otherwise allocate and fault that buffer on every
-// burst; the pool keeps returned buffers (capacity intact) on a free list so
-// steady-state serving reuses warm memory. The same pool hands out whole
-// EvalState<S> objects for lane materialization, whose slot vectors dominate
-// their footprint.
+// Every coalesced batch sweep needs a value buffer of num_rows * batch_size
+// elements: it holds the plan's live rows only (EvalPlan::row_of), since a
+// burst's responses read outputs alone. A server dispatching coalesced
+// batches would otherwise allocate that buffer on every burst; the pool
+// keeps returned buffers (capacity intact) on a free list so steady-state
+// serving reuses warm memory. The same pool hands out whole EvalState<S>
+// objects for lane materialization. Those keep every slot, because lanes
+// serve delta updates and explains that read interior values, so their slot
+// vectors dominate the pool's footprint.
 //
 // Thread safety: Acquire/Release are mutex-guarded and safe from any thread;
 // the handed-out buffer itself is exclusively the caller's until released.
@@ -89,12 +91,13 @@ class ObjectPool {
   std::vector<T> idle_;
 };
 
-/// Per-semiring scratch pools for one serving channel: slot-major batch
-/// buffers (EvaluateBatchInto targets) and materialized EvalStates (lane
-/// storage). Dispatcher threads share one EvalStatePool per channel.
+/// Per-semiring scratch pools for one serving channel: row-major batch
+/// buffers (EvaluateBatchInto targets, compact rows) and materialized
+/// EvalStates (lane storage, every slot). Dispatcher threads share one
+/// EvalStatePool per channel.
 template <Semiring S>
 struct EvalStatePool {
-  ObjectPool<std::vector<SlotValue<S>>> slot_buffers;
+  ObjectPool<std::vector<SlotValue<S>>> batch_buffers;
   ObjectPool<EvalState<S>> states;
 };
 

@@ -47,9 +47,11 @@ struct TropicalSemiring {
   static Value Zero() { return kInf; }
   static Value One() { return 0; }
   static Value Plus(Value a, Value b) { return std::min(a, b); }
+  /// Saturating add, branch-free: a wrapped sum is smaller than a, and
+  /// kInf + 0 = kInf, so +inf absorbs without a test of its own.
   static Value Times(Value a, Value b) {
-    if (a == kInf || b == kInf) return kInf;
-    return (a > kInf - b) ? kInf : a + b;  // saturating add
+    const Value s = a + b;
+    return s < a ? kInf : s;
   }
   static bool Eq(Value a, Value b) { return a == b; }
   static std::string ToString(Value a) { return a == kInf ? "inf" : std::to_string(a); }
@@ -98,10 +100,14 @@ struct CountingSemiring {
   static constexpr bool kIsPositive = true;
   static Value Zero() { return 0; }
   static Value One() { return 1; }
-  static Value Plus(Value a, Value b) { return (a > kMax - b) ? kMax : a + b; }
+  /// Saturating add and multiply, branch-free.
+  static Value Plus(Value a, Value b) {
+    const Value s = a + b;
+    return s < a ? kMax : s;
+  }
   static Value Times(Value a, Value b) {
-    if (a == 0 || b == 0) return 0;
-    return (a > kMax / b) ? kMax : a * b;
+    Value p = 0;
+    return __builtin_mul_overflow(a, b, &p) ? kMax : p;
   }
   static bool Eq(Value a, Value b) { return a == b; }
   static std::string ToString(Value a) { return std::to_string(a); }

@@ -8,10 +8,13 @@
 //        - inline-tag eval requests COALESCE: a burst popped from the queue
 //          is packed into SoA TagBatch lanes and swept through the plan
 //          once (src/eval/batch.h), so the topology walk is paid per burst,
-//          not per request — the core of the throughput story.
-//        - named lanes hold a materialized EvalState (src/eval/delta.h):
-//          reads are O(requested facts), updates propagate incrementally
-//          through the dependents index.
+//          not per request — the core of the throughput story. The sweep's
+//          buffer holds the plan's live rows only; responses read outputs
+//          at output_rows().
+//        - named lanes hold a materialized EvalState (src/eval/delta.h)
+//          with every slot's value, because incremental updates (through
+//          the dependents index) and explains read interior slots; reads
+//          are O(requested facts).
 //
 // Consistency: the Lane object for a name is stable for its lifetime, and
 // every lane guards its state with a shared_mutex — writes (updates AND
@@ -111,13 +114,6 @@ struct ServerOptions {
   size_t max_coalesce = 64;      ///< max requests popped into one burst
   int num_dispatchers = 1;       ///< broker threads (each owns an Evaluator)
   eval::EvalOptions eval;        ///< per-dispatcher evaluator configuration
-  /// Byte budget for one coalesced sweep's slot-major value buffer; batches
-  /// whose buffer would exceed it are swept in tiles (losing amortization
-  /// across tiles). Larger than EvaluateBatch's default: a serving box
-  /// trades memory for the coalescing that is its whole point, and a plan
-  /// big enough to blow this budget is better served by fewer, wider
-  /// sweeps than by per-request walks.
-  size_t tile_budget_bytes = size_t{256} << 20;
   /// Start with dispatchers idle until Resume(); lets tests (and benches)
   /// enqueue a backlog deterministically and observe full coalescing.
   bool paused = false;
@@ -660,8 +656,9 @@ void Server::ServeChannelGroup(const std::string& channel_key,
   // The coalesced sweep: all inline tags of this burst through the plan at
   // once. Bool-valued semirings take the bit-packed kernel (64 lanes per
   // machine word — one word op evaluates a gate under the whole burst);
-  // everything else goes through the slot-major SoA kernel, tiled to the
-  // server's byte budget, into a pooled buffer.
+  // everything else goes through the SoA kernel into a pooled buffer that
+  // holds only the plan's live rows (responses read output_rows()), tiled
+  // by SweepInTiles.
   std::vector<std::vector<typename S::Value>> assignments;
   assignments.reserve(inline_evals.size());
   for (InlineEval& e : inline_evals) assignments.push_back(std::move(e.tags));
@@ -695,34 +692,29 @@ void Server::ServeChannelGroup(const std::string& channel_key,
       Respond(p, {true, "", 0, std::move(values), {}, {}});
     }
   } else {
-    const size_t per_lane_bytes = std::max<size_t>(
-        1, eplan.num_slots() * sizeof(typename S::Value));
-    const size_t tile = std::min(
-        B, std::max<size_t>(1, options_.tile_budget_bytes / per_lane_bytes));
-    auto slots = chan.pool.slot_buffers.Acquire();
-    for (size_t start = 0; start < B; start += tile) {
-      const size_t lanes = std::min(tile, B - start);
-      eval::BatchAssignment<S> batch = eval::BatchAssignment<S>::PackRange(
-          assignments, start, lanes, eplan.num_vars());
-      eval::EvaluateBatchInto<S>(evaluator, eplan, batch, &*slots);
-      batches_.fetch_add(1, std::memory_order_relaxed);
-      for (size_t b = 0; b < lanes; ++b) {
-        Pending* p = inline_evals[start + b].pending;
-        std::vector<std::string> values;
-        values.reserve(p->request.facts.size());
-        for (uint32_t f : p->request.facts) {
-          typename S::Value v =
-              f == pipeline::Session::kNotFound
-                  ? S::Zero()
-                  : static_cast<typename S::Value>(
-                        (*slots)[static_cast<size_t>(eplan.output_slots()[f]) *
+    auto buffer = chan.pool.batch_buffers.Acquire();
+    eval::SweepInTiles<S, eval::RowMap::kCompact>(
+        evaluator, eplan, assignments, eval::kTileBudgetBytes, &*buffer,
+        [&](size_t start, size_t lanes,
+            const std::vector<eval::SlotValue<S>>& rows) {
+          batches_.fetch_add(1, std::memory_order_relaxed);
+          for (size_t b = 0; b < lanes; ++b) {
+            Pending* p = inline_evals[start + b].pending;
+            std::vector<std::string> values;
+            values.reserve(p->request.facts.size());
+            for (uint32_t f : p->request.facts) {
+              typename S::Value v =
+                  f == pipeline::Session::kNotFound
+                      ? S::Zero()
+                      : static_cast<typename S::Value>(
+                            rows[static_cast<size_t>(eplan.output_rows()[f]) *
                                      lanes +
                                  b]);
-          values.push_back(pipeline::FormatSemiringValue<S>(v));
-        }
-        Respond(p, {true, "", 0, std::move(values), {}, {}});
-      }
-    }
+              values.push_back(pipeline::FormatSemiringValue<S>(v));
+            }
+            Respond(p, {true, "", 0, std::move(values), {}, {}});
+          }
+        });
   }
 }
 

@@ -204,9 +204,19 @@ TYPED_TEST(DeltaSemiringTest, MaterializeBatchMatchesPerLaneMaterialize) {
   EvalPlan plan = EvalPlan::Build(c);
   std::vector<std::vector<typename S::Value>> lanes;
   for (int b = 0; b < 5; ++b) lanes.push_back(RandomAssignment<S>(rng, 6));
-  // A 1-byte budget forces one lane per tile; the default takes one tile.
-  for (size_t budget : {size_t{1}, size_t{32} << 20}) {
-    auto states = inc.MaterializeBatch<S>(plan, lanes, budget);
+  // Budgets in rows: MaterializeBatch keeps every slot, so one lane holds
+  // num_slots() rows. One lane per tile gives 5 tiles, two lanes per tile
+  // leave a partial final tile (2 + 2 + 1), and the default takes one tile.
+  const size_t lane_bytes = plan.num_slots() * sizeof(eval::SlotValue<S>);
+  const std::pair<size_t, uint64_t> budgets[] = {
+      {lane_bytes, 5}, {2 * lane_bytes, 3}, {eval::kTileBudgetBytes, 1}};
+  for (const auto& [budget, tiles] : budgets) {
+    std::vector<EvalState<S>> states;
+    {
+      testing::SweepCounter counter;
+      states = inc.MaterializeBatch<S>(plan, lanes, budget);
+      EXPECT_EQ(counter.sweeps(), tiles) << "budget " << budget;
+    }
     ASSERT_EQ(states.size(), lanes.size());
     for (size_t b = 0; b < lanes.size(); ++b) {
       EvalState<S> expected = inc.Materialize<S>(plan, lanes[b]);

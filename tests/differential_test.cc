@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -43,7 +44,7 @@ using eval::TagDelta;
 using testing::ExpectSameValues;
 using testing::OracleEvaluate;
 using testing::RandomAssignment;
-using testing::RandomCircuit;
+using testing::RandomCaseCircuit;
 
 uint64_t EnvOr(const char* name, uint64_t fallback) {
   const char* v = std::getenv(name);
@@ -58,10 +59,8 @@ size_t NumCases() { return static_cast<size_t>(EnvOr("DLCIRC_DIFF_CASES", 100));
 template <Semiring S>
 void RunCase(uint64_t case_seed) {
   Rng rng(case_seed);
-  const uint32_t num_vars = 4 + static_cast<uint32_t>(rng.NextBounded(7));
-  const uint32_t num_internal = 40 + static_cast<uint32_t>(rng.NextBounded(260));
-  const size_t num_outputs = 1 + rng.NextBounded(4);
-  Circuit circuit = RandomCircuit(rng, num_vars, num_internal, num_outputs);
+  Circuit circuit = RandomCaseCircuit(rng);
+  const uint32_t num_vars = circuit.num_vars();
 
   Evaluator serial(EvalOptions{.num_threads = 1});
   // Thresholds forced low so the worker pool genuinely runs on small plans.
@@ -77,9 +76,15 @@ void RunCase(uint64_t case_seed) {
   Circuit optimized = eval::OptimizeForEval(circuit, popts).circuit;
   EvalPlan opt_plan = EvalPlan::Build(optimized);
 
-  // --- full-evaluation paths, 3 tagging lanes -----------------------------
+  // --- full-evaluation paths -----------------------------------------------
+  // The lane count covers one lane, counts off the kernel's lane block, and
+  // a second 64-lane word of the bit-packed kernel.
+  const size_t lane_counts[] = {1, 3, 8, 16, 64, 65};
+  const size_t num_lanes = lane_counts[rng.NextBounded(std::size(lane_counts))];
   std::vector<std::vector<typename S::Value>> lanes;
-  for (int b = 0; b < 3; ++b) lanes.push_back(RandomAssignment<S>(rng, num_vars));
+  for (size_t b = 0; b < num_lanes; ++b) {
+    lanes.push_back(RandomAssignment<S>(rng, num_vars));
+  }
   auto batched = eval::EvaluateBatch<S>(serial, plan, lanes);
   auto batched_par = eval::EvaluateBatch<S>(parallel, plan, lanes);
   for (size_t b = 0; b < lanes.size(); ++b) {
@@ -96,9 +101,11 @@ void RunCase(uint64_t case_seed) {
   }
   if constexpr (std::is_same_v<typename S::Value, bool>) {
     auto bits = eval::EvaluateBooleanBitBatch(serial, plan, lanes);
+    auto bits_par = eval::EvaluateBooleanBitBatch(parallel, plan, lanes);
     for (size_t b = 0; b < lanes.size(); ++b) {
-      ExpectSameValues<S>(OracleEvaluate<S>(circuit, lanes[b]), bits[b],
-                          "bit batch");
+      auto oracle = OracleEvaluate<S>(circuit, lanes[b]);
+      ExpectSameValues<S>(oracle, bits[b], "bit batch");
+      ExpectSameValues<S>(oracle, bits_par[b], "bit batch parallel");
     }
   }
 

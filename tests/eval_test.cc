@@ -1,18 +1,27 @@
 // Tests for the src/eval/ evaluation engine: EvalPlan layering invariants,
 // parity of serial / parallel / batched evaluation with the seed
-// Circuit::Evaluate across every semiring in src/semiring/instances.h, and
-// optimizer-pass safety (value preservation, cone never grows).
+// Circuit::Evaluate across every semiring in src/semiring/instances.h, the
+// compact row map batch sweeps use, and optimizer-pass safety (value
+// preservation, cone never grows).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <filesystem>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "src/circuit/builder.h"
 #include "src/circuit/circuit.h"
+#include "src/constructions/path_circuits.h"
 #include "src/eval/batch.h"
 #include "src/eval/evaluator.h"
 #include "src/eval/passes.h"
+#include "src/graph/labeled_graph.h"
+#include "src/pipeline/session.h"
 #include "src/semiring/instances.h"
+#include "src/serve/snapshot.h"
 #include "src/util/rng.h"
 #include "tests/random_circuits.h"
 
@@ -158,6 +167,131 @@ TEST(EvalPlanTest, DuplicateOutputsKeepTheirOrder) {
   EXPECT_EQ(out[2], 3u);
 }
 
+/// Replays `plan`'s layer order with an owner-per-row table. Each layer's
+/// writes go before its reads, the order in which a layer-parallel sweep
+/// would expose a gate overwriting a row its own layer still reads.
+void ExpectValidRowMap(const EvalPlan& plan) {
+  const std::vector<uint32_t>& row_of = plan.row_of();
+  ASSERT_EQ(row_of.size(), plan.num_slots());
+  EXPECT_LE(plan.num_rows(), plan.num_slots());
+  constexpr uint32_t kFree = UINT32_MAX;
+  std::vector<uint32_t> owner(plan.num_rows(), kFree);
+  const std::vector<uint32_t>& starts = plan.layer_starts();
+  for (size_t l = 0; l + 1 < starts.size(); ++l) {
+    for (uint32_t s = starts[l]; s < starts[l + 1]; ++s) {
+      ASSERT_LT(row_of[s], plan.num_rows()) << "slot " << s;
+      const uint32_t prev = owner[row_of[s]];
+      ASSERT_TRUE(prev == kFree || prev < starts[l])
+          << "slots " << prev << " and " << s << " of layer " << l
+          << " share row " << row_of[s];
+      owner[row_of[s]] = s;
+    }
+    for (uint32_t s = starts[l]; s < starts[l + 1]; ++s) {
+      const Gate& g = plan.gates()[s];
+      if (g.kind != GateKind::kPlus && g.kind != GateKind::kTimes) continue;
+      for (uint32_t child : {g.a, g.b}) {
+        ASSERT_EQ(owner[row_of[child]], child)
+            << "slot " << s << " reads row " << row_of[child] << " of child "
+            << child << " after it was reassigned";
+      }
+    }
+  }
+  // Output rows are never reassigned, and distinct output slots (duplicate
+  // outputs may share one) hold distinct rows.
+  ASSERT_EQ(plan.output_rows().size(), plan.num_outputs());
+  std::map<uint32_t, uint32_t> slot_of_row;
+  for (size_t k = 0; k < plan.num_outputs(); ++k) {
+    const uint32_t s = plan.output_slots()[k];
+    const uint32_t r = plan.output_rows()[k];
+    EXPECT_EQ(r, row_of[s]) << "output " << k;
+    EXPECT_EQ(owner[r], s) << "output " << k << " lost row " << r;
+    EXPECT_EQ(slot_of_row.emplace(r, s).first->second, s)
+        << "output slots share row " << r;
+  }
+}
+
+/// The plan rebuilt from its own parts: FromParts must derive the rows
+/// Build derived.
+void ExpectFromPartsDerivesSameRows(const EvalPlan& plan) {
+  EvalPlan rebuilt = EvalPlan::FromParts(
+      {plan.gates(), plan.layer_starts(), plan.output_slots(),
+       plan.dep_starts(), plan.dependents(), plan.var_starts(),
+       plan.var_input_slots(), plan.layer_of(), plan.num_vars()});
+  EXPECT_EQ(rebuilt.row_of(), plan.row_of());
+  EXPECT_EQ(rebuilt.output_rows(), plan.output_rows());
+  EXPECT_EQ(rebuilt.num_rows(), plan.num_rows());
+}
+
+/// Theorem 5.6's Bellman-Ford transitive closure over the circulant digraph
+/// v_i -> v_(i+k mod n), one output per (s, t) pair.
+Circuit CirculantBellmanFord(uint32_t n, const std::vector<uint32_t>& ks) {
+  LabeledGraph graph(n);
+  std::vector<uint32_t> edge_vars;
+  for (uint32_t i = 0; i < n; ++i) {
+    for (uint32_t k : ks) {
+      graph.AddEdge(i, (i + k) % n);
+      edge_vars.push_back(static_cast<uint32_t>(edge_vars.size()));
+    }
+  }
+  std::vector<std::pair<uint32_t, uint32_t>> outputs;
+  for (uint32_t s = 0; s < n; ++s) {
+    for (uint32_t t = 0; t < n; ++t) outputs.push_back({s, t});
+  }
+  return BellmanFordCircuitMulti(graph, edge_vars,
+                                 static_cast<uint32_t>(edge_vars.size()),
+                                 outputs);
+}
+
+TEST(RowMapTest, DifferentialCircuitsAndTheirOptimizedPlans) {
+  for (uint64_t seed = 20260731; seed < 20260731 + 60; ++seed) {
+    SCOPED_TRACE("case seed " + std::to_string(seed));
+    Rng rng(seed);
+    Circuit c = testing::RandomCaseCircuit(rng);
+    EvalPlan plan = EvalPlan::Build(c);
+    ExpectValidRowMap(plan);
+    ExpectFromPartsDerivesSameRows(plan);
+    for (bool absorptive : {false, true}) {
+      PassOptions opts;
+      opts.plus_idempotent = absorptive;
+      opts.absorptive = absorptive;
+      EvalPlan optimized =
+          EvalPlan::Build(eval::OptimizeForEval(c, opts).circuit);
+      ExpectValidRowMap(optimized);
+      ExpectFromPartsDerivesSameRows(optimized);
+    }
+  }
+}
+
+TEST(RowMapTest, CirculantBellmanFordPlanHoldsOnlyLiveRows) {
+  EvalPlan plan = EvalPlan::Build(CirculantBellmanFord(12, {1, 3, 5}));
+  ExpectValidRowMap(plan);
+  ExpectFromPartsDerivesSameRows(plan);
+  // Each relaxation round reads only the round before it and the edges.
+  EXPECT_LT(plan.num_rows() * 4, plan.num_slots());
+}
+
+TEST(RowMapTest, SnapshotRoundTripDerivesTheSameRows) {
+  pipeline::CompiledPlan compiled;
+  compiled.key = pipeline::PlanKey::For<TropicalSemiring>(
+      pipeline::Construction::kBellmanFord);
+  compiled.circuit = CirculantBellmanFord(10, {1, 4});
+  compiled.plan = EvalPlan::Build(compiled.circuit);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "dlcirc_row_map_snapshot";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "plan.dlcp").string();
+  ASSERT_TRUE(serve::SavePlan(compiled, 1, 2, path).ok());
+  auto loaded = serve::LoadPlan(path, 1, 2, compiled.key);
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  const EvalPlan& plan = loaded.value()->plan;
+  ExpectValidRowMap(plan);
+  EXPECT_EQ(plan.row_of(), compiled.plan.row_of());
+  EXPECT_EQ(plan.output_rows(), compiled.plan.output_rows());
+  EXPECT_EQ(plan.num_rows(), compiled.plan.num_rows());
+}
+
 TEST(CircuitEvaluateTest, RestrictsWorkToOutputCone) {
   // Dead gates reference variables 2 and 3, but the cone only uses variable
   // 0 — an assignment covering just the cone must suffice. (The unfixed
@@ -221,8 +355,10 @@ TEST(BatchTest, SingleLaneBatchMatchesScalarPath) {
 }
 
 TEST(BatchTest, LaneTilingPreservesResults) {
-  // A 1-byte budget forces one lane per tile; a mid-size budget forces a
-  // partial final tile. Both must match the single-tile result.
+  // Budgets in rows: EvaluateBatch sweeps compact rows, so one lane holds
+  // num_rows() values. One lane per tile gives 7 tiles; two lanes per tile
+  // leave a partial final tile (2 + 2 + 2 + 1). Both must match the
+  // single-tile result.
   Rng rng(61);
   Circuit c = RandomCircuit(rng, 6, 100);
   EvalPlan plan = EvalPlan::Build(c);
@@ -231,10 +367,22 @@ TEST(BatchTest, LaneTilingPreservesResults) {
   for (int b = 0; b < 7; ++b) {
     assigns.push_back(RandomAssignment<TropicalSemiring>(rng, 6));
   }
-  auto one_tile = eval::EvaluateBatch<TropicalSemiring>(ev, plan, assigns);
-  for (size_t budget : {size_t{1}, plan.num_slots() * sizeof(uint64_t) * 2}) {
-    auto tiled =
-        eval::EvaluateBatch<TropicalSemiring>(ev, plan, assigns, budget);
+  std::vector<std::vector<uint64_t>> one_tile;
+  {
+    testing::SweepCounter counter;
+    one_tile = eval::EvaluateBatch<TropicalSemiring>(ev, plan, assigns);
+    EXPECT_EQ(counter.sweeps(), 1u);
+  }
+  const size_t lane_bytes = plan.num_rows() * sizeof(uint64_t);
+  const std::pair<size_t, uint64_t> budgets[] = {{lane_bytes, 7},
+                                                 {2 * lane_bytes, 4}};
+  for (const auto& [budget, tiles] : budgets) {
+    std::vector<std::vector<uint64_t>> tiled;
+    {
+      testing::SweepCounter counter;
+      tiled = eval::EvaluateBatch<TropicalSemiring>(ev, plan, assigns, budget);
+      EXPECT_EQ(counter.sweeps(), tiles) << "budget " << budget;
+    }
     ASSERT_EQ(tiled.size(), one_tile.size());
     for (size_t b = 0; b < tiled.size(); ++b) {
       ExpectSameValues<TropicalSemiring>(one_tile[b], tiled[b], "tiled");

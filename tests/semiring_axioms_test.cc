@@ -1,8 +1,12 @@
 // Property tests: every declared semiring satisfies the commutative-semiring
 // axioms and its declared trait flags; positive semirings pass the positivity
 // homomorphism check; absorptive semirings are 0-stable; the counterexample
-// semirings (TropicalZ, Arctic) demonstrably fail absorption.
+// semirings (TropicalZ, Arctic) demonstrably fail absorption; the
+// branch-free saturating ops agree with their branchy definitions.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <limits>
 
 #include "src/semiring/axioms.h"
 #include "src/semiring/instances.h"
@@ -77,6 +81,35 @@ TEST(NaturalOrderTest, BooleanOrder) {
   using S = BooleanSemiring;
   EXPECT_TRUE(NaturalLeq<S>(false, true));
   EXPECT_FALSE(NaturalLeq<S>(true, false));
+}
+
+// The branchy definitions Tropical Times and Counting Plus/Times had before
+// they became branch-free, kept as the reference the new ones must match.
+constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+uint64_t ReferenceTropicalTimes(uint64_t a, uint64_t b) {
+  if (a == kMax || b == kMax) return kMax;
+  return (a > kMax - b) ? kMax : a + b;
+}
+uint64_t ReferenceCountingPlus(uint64_t a, uint64_t b) {
+  return (a > kMax - b) ? kMax : a + b;
+}
+uint64_t ReferenceCountingTimes(uint64_t a, uint64_t b) {
+  if (a == 0 || b == 0) return 0;
+  return (a > kMax / b) ? kMax : a * b;
+}
+
+TEST(SaturatingOpsTest, BranchFreeOpsMatchBranchyReference) {
+  const uint64_t edges[] = {0, 1, 2, kMax / 2, kMax - 1, kMax};
+  for (uint64_t a : edges) {
+    for (uint64_t b : edges) {
+      EXPECT_EQ(TropicalSemiring::Times(a, b), ReferenceTropicalTimes(a, b))
+          << a << " (x) " << b;
+      EXPECT_EQ(CountingSemiring::Plus(a, b), ReferenceCountingPlus(a, b))
+          << a << " (+) " << b;
+      EXPECT_EQ(CountingSemiring::Times(a, b), ReferenceCountingTimes(a, b))
+          << a << " (x) " << b;
+    }
+  }
 }
 
 TEST(PowerHelpersTest, TimesPowAndPlusPow) {
