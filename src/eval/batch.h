@@ -74,7 +74,7 @@ struct BatchAssignment {
 /// batch_size values, row-major: lane b of slot s was written to
 /// (*slots)[plan.row_of()[s] * batch_size + b], and rows are reused once
 /// their last reader has run, so only outputs survive the sweep: output k
-/// of lane b is at (*slots)[plan.output_rows()[k] * batch_size + b].
+/// of lane b is at (*slots)[plan.output_row(k) * batch_size + b].
 /// RowMap::kEverySlot keeps one row per slot instead (row = slot). The
 /// buffer is resized, never cleared.
 template <Semiring S, RowMap kRows = RowMap::kCompact>
@@ -89,16 +89,19 @@ void EvaluateBatchInto(const Evaluator& evaluator, const EvalPlan& plan,
   evaluator.Sweep<S, 0, kRows>(plan, batch.values, B, slots->data());
 }
 
-/// Byte budget of one batch sweep's buffer, shared by every tiled caller.
-/// Beyond it lanes are swept in tiles: a buffer far larger than the caches
-/// turns the sweep memory-bound, and re-walking the shared plan once per
-/// tile is then faster.
+/// Byte budget of one batch sweep's buffer, shared by every tiled caller
+/// (batch evaluation, lane materialization and serving). Beyond it lanes are
+/// swept in tiles, each re-walking the shared plan. On wide plans of 75k to
+/// 373k live rows, 64-lane sweeps in 32 MB tiles measured as fast as one
+/// 256 MB sweep or faster (BENCH_sweep.json, "tile_budget").
 inline constexpr size_t kTileBudgetBytes = size_t{32} << 20;
 
-/// The one tile rule: sweeps `assignments` through `plan` in tiles of as
-/// many lanes as fit `budget_bytes` (at least one), given the rows kRows
+/// The one tile rule: sweeps `assignments` through `plan` in as few tiles
+/// as fit `budget_bytes` (at least one lane each), given the rows kRows
 /// holds, and after each tile calls consume(start, lanes, *buffer) with
 /// lanes [start, start + lanes) laid out as EvaluateBatchInto documents.
+/// Tiles are as even as the lane count allows: a short last tile would pay
+/// a whole plan walk for a few lanes.
 template <Semiring S, RowMap kRows, typename Consume>
 void SweepInTiles(const Evaluator& evaluator, const EvalPlan& plan,
                   const std::vector<std::vector<typename S::Value>>& assignments,
@@ -108,7 +111,9 @@ void SweepInTiles(const Evaluator& evaluator, const EvalPlan& plan,
   DLCIRC_CHECK_GT(B, 0u);
   const size_t lane_bytes =
       std::max<size_t>(1, RowsHeld<kRows>(plan) * sizeof(SlotValue<S>));
-  const size_t tile = std::clamp<size_t>(budget_bytes / lane_bytes, 1, B);
+  const size_t widest = std::clamp<size_t>(budget_bytes / lane_bytes, 1, B);
+  const size_t tiles = (B + widest - 1) / widest;
+  const size_t tile = (B + tiles - 1) / tiles;
   for (size_t start = 0; start < B; start += tile) {
     const size_t lanes = std::min(tile, B - start);
     BatchAssignment<S> batch =
@@ -133,10 +138,11 @@ std::vector<std::vector<typename S::Value>> EvaluateBatch(
   SweepInTiles<S, RowMap::kCompact>(
       evaluator, plan, assignments, tile_budget_bytes, &buffer,
       [&](size_t start, size_t lanes, const std::vector<SlotValue<S>>& vals) {
-        for (uint32_t row : plan.output_rows()) {
+        for (size_t k = 0; k < plan.num_outputs(); ++k) {
+          const size_t row = plan.output_row(k);
           for (size_t b = 0; b < lanes; ++b) {
-            out[start + b].push_back(static_cast<typename S::Value>(
-                vals[static_cast<size_t>(row) * lanes + b]));
+            out[start + b].push_back(
+                static_cast<typename S::Value>(vals[row * lanes + b]));
           }
         }
       });
@@ -180,8 +186,11 @@ inline std::vector<std::vector<bool>> EvaluateBooleanBitBatch(
     }
   }
   auto vals = std::make_unique_for_overwrite<uint64_t[]>(plan.num_rows() * W);
-  // Up to 64 lanes fit one word: a fixed one-word row keeps the per-gate
-  // work of a narrow burst to a single word op.
+  // Up to 64 lanes fit one word, and a row fixed at one word keeps a narrow
+  // burst's per-gate work to a single word op. The runtime-width loop costs
+  // more than the word op it wraps: on a 345k-slot Bellman-Ford plan at 16
+  // lanes, on a 4-vCPU Xeon, it measured 0.41 ns per slot-lane against 0.24
+  // for the fixed word (BENCH_sweep.json, "bitbatch_replay").
   if (W == 1) {
     evaluator.Sweep<internal::BitLanes, 1, RowMap::kCompact>(plan, in, W,
                                                              vals.get());
@@ -192,7 +201,7 @@ inline std::vector<std::vector<bool>> EvaluateBooleanBitBatch(
   std::vector<std::vector<bool>> out(B,
                                      std::vector<bool>(plan.num_outputs()));
   for (size_t k = 0; k < plan.num_outputs(); ++k) {
-    const size_t row = static_cast<size_t>(plan.output_rows()[k]) * W;
+    const size_t row = static_cast<size_t>(plan.output_row(k)) * W;
     for (size_t b = 0; b < B; ++b) {
       out[b][k] = (vals[row + b / 64] >> (b % 64)) & 1;
     }

@@ -125,13 +125,18 @@ void EvalPlan::DeriveRows() {
   for (uint32_t s : output_slots_) last_reader[s] = kKeep;
 
   // Rows freed during layer L join the free list when layer L+1 starts, so
-  // no gate writes a row that its own layer still reads.
+  // no gate writes a row that its own layer still reads. A row a gate may
+  // free is stored unconditionally and counted only if the gate is its last
+  // reader: whether it is depends on the data, and a branch on it would
+  // mispredict often. A layer frees distinct rows, so n + 1 entries do.
   row_of_.resize(n);
   num_rows_ = 0;
-  std::vector<uint32_t> free_rows, freed;
+  std::vector<uint32_t> free_rows, freed(n + 1);
+  size_t num_freed = 0;
   for (size_t l = 0; l + 1 < layer_starts_.size(); ++l) {
-    free_rows.insert(free_rows.end(), freed.begin(), freed.end());
-    freed.clear();
+    free_rows.insert(free_rows.end(), freed.begin(),
+                     freed.begin() + num_freed);
+    num_freed = 0;
     for (uint32_t s = layer_starts_[l]; s < layer_starts_[l + 1]; ++s) {
       if (free_rows.empty()) {
         row_of_[s] = static_cast<uint32_t>(num_rows_++);
@@ -139,16 +144,16 @@ void EvalPlan::DeriveRows() {
         row_of_[s] = free_rows.back();
         free_rows.pop_back();
       }
-      if (last_reader[s] == s) freed.push_back(row_of_[s]);
+      freed[num_freed] = row_of_[s];
+      num_freed += last_reader[s] == s;
       const Gate& g = gates_[s];
       if (!is_op(g)) continue;
-      if (last_reader[g.a] == s) freed.push_back(row_of_[g.a]);
-      if (g.b != g.a && last_reader[g.b] == s) freed.push_back(row_of_[g.b]);
+      freed[num_freed] = row_of_[g.a];
+      num_freed += last_reader[g.a] == s;
+      freed[num_freed] = row_of_[g.b];
+      num_freed += (g.b != g.a) & (last_reader[g.b] == s);
     }
   }
-  output_rows_.clear();
-  output_rows_.reserve(output_slots_.size());
-  for (uint32_t s : output_slots_) output_rows_.push_back(row_of_[s]);
 }
 
 EvalPlan EvalPlan::FromParts(Parts parts) {

@@ -92,8 +92,8 @@ class EvalPlan {
   /// gate writes a row that a gate of its own layer still reads; rows of
   /// output slots are never released. Derived, not serialized.
   const std::vector<uint32_t>& row_of() const { return row_of_; }
-  /// Row of each circuit output, in the circuit's output order.
-  const std::vector<uint32_t>& output_rows() const { return output_rows_; }
+  /// Row of output k (in the circuit's output order) in a compact sweep.
+  uint32_t output_row(size_t k) const { return row_of_[output_slots_[k]]; }
   /// Rows a compact sweep holds: the peak number of live values.
   size_t num_rows() const { return num_rows_; }
 
@@ -105,8 +105,8 @@ class EvalPlan {
   size_t max_layer_width() const { return max_layer_width_; }
 
  private:
-  /// Fills row_of_, output_rows_ and num_rows_ from the gates, layers and
-  /// outputs (see row_of()).
+  /// Fills row_of_ and num_rows_ from the gates, layers and outputs (see
+  /// row_of()).
   void DeriveRows();
 
   std::vector<Gate> gates_;
@@ -118,7 +118,6 @@ class EvalPlan {
   std::vector<uint32_t> var_input_slots_;
   std::vector<uint32_t> layer_of_;
   std::vector<uint32_t> row_of_;
-  std::vector<uint32_t> output_rows_;
   uint32_t num_vars_ = 0;
   size_t max_layer_width_ = 0;
   size_t num_rows_ = 0;

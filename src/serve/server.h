@@ -10,7 +10,7 @@
 //          once (src/eval/batch.h), so the topology walk is paid per burst,
 //          not per request — the core of the throughput story. The sweep's
 //          buffer holds the plan's live rows only; responses read outputs
-//          at output_rows().
+//          at their rows (EvalPlan::output_row).
 //        - named lanes hold a materialized EvalState (src/eval/delta.h)
 //          with every slot's value, because incremental updates (through
 //          the dependents index) and explains read interior slots; reads
@@ -657,8 +657,8 @@ void Server::ServeChannelGroup(const std::string& channel_key,
   // once. Bool-valued semirings take the bit-packed kernel (64 lanes per
   // machine word — one word op evaluates a gate under the whole burst);
   // everything else goes through the SoA kernel into a pooled buffer that
-  // holds only the plan's live rows (responses read output_rows()), tiled
-  // by SweepInTiles.
+  // holds only the plan's live rows (responses read EvalPlan::output_row),
+  // tiled by SweepInTiles.
   std::vector<std::vector<typename S::Value>> assignments;
   assignments.reserve(inline_evals.size());
   for (InlineEval& e : inline_evals) assignments.push_back(std::move(e.tags));
@@ -707,7 +707,7 @@ void Server::ServeChannelGroup(const std::string& channel_key,
                   f == pipeline::Session::kNotFound
                       ? S::Zero()
                       : static_cast<typename S::Value>(
-                            rows[static_cast<size_t>(eplan.output_rows()[f]) *
+                            rows[static_cast<size_t>(eplan.output_row(f)) *
                                      lanes +
                                  b]);
               values.push_back(pipeline::FormatSemiringValue<S>(v));

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -198,12 +199,10 @@ void ExpectValidRowMap(const EvalPlan& plan) {
   }
   // Output rows are never reassigned, and distinct output slots (duplicate
   // outputs may share one) hold distinct rows.
-  ASSERT_EQ(plan.output_rows().size(), plan.num_outputs());
   std::map<uint32_t, uint32_t> slot_of_row;
   for (size_t k = 0; k < plan.num_outputs(); ++k) {
     const uint32_t s = plan.output_slots()[k];
-    const uint32_t r = plan.output_rows()[k];
-    EXPECT_EQ(r, row_of[s]) << "output " << k;
+    const uint32_t r = plan.output_row(k);
     EXPECT_EQ(owner[r], s) << "output " << k << " lost row " << r;
     EXPECT_EQ(slot_of_row.emplace(r, s).first->second, s)
         << "output slots share row " << r;
@@ -218,7 +217,6 @@ void ExpectFromPartsDerivesSameRows(const EvalPlan& plan) {
        plan.dep_starts(), plan.dependents(), plan.var_starts(),
        plan.var_input_slots(), plan.layer_of(), plan.num_vars()});
   EXPECT_EQ(rebuilt.row_of(), plan.row_of());
-  EXPECT_EQ(rebuilt.output_rows(), plan.output_rows());
   EXPECT_EQ(rebuilt.num_rows(), plan.num_rows());
 }
 
@@ -288,7 +286,6 @@ TEST(RowMapTest, SnapshotRoundTripDerivesTheSameRows) {
   const EvalPlan& plan = loaded.value()->plan;
   ExpectValidRowMap(plan);
   EXPECT_EQ(plan.row_of(), compiled.plan.row_of());
-  EXPECT_EQ(plan.output_rows(), compiled.plan.output_rows());
   EXPECT_EQ(plan.num_rows(), compiled.plan.num_rows());
 }
 
@@ -387,6 +384,36 @@ TEST(BatchTest, LaneTilingPreservesResults) {
     for (size_t b = 0; b < tiled.size(); ++b) {
       ExpectSameValues<TropicalSemiring>(one_tile[b], tiled[b], "tiled");
     }
+  }
+}
+
+TEST(BatchTest, SweepInTilesSplitsLanesEvenly) {
+  // As few tiles as the budget allows, as even as the lane count allows:
+  // a budget of 5 lanes splits 7 lanes 4 + 3, not 5 + 2, and one of 56
+  // lanes splits 64 lanes 32 + 32, not 56 + 8.
+  Rng rng(67);
+  Circuit c = RandomCircuit(rng, 6, 100);
+  EvalPlan plan = EvalPlan::Build(c);
+  Evaluator ev(EvalOptions{.num_threads = 1});
+  const size_t lane_bytes = plan.num_rows() * sizeof(uint64_t);
+  const std::tuple<size_t, size_t, std::vector<size_t>> cases[] = {
+      {7, 5, {4, 3}}, {64, 56, {32, 32}}, {64, 64, {64}}, {3, 1, {1, 1, 1}}};
+  for (const auto& [lanes, budget_lanes, want] : cases) {
+    std::vector<std::vector<uint64_t>> assigns;
+    for (size_t b = 0; b < lanes; ++b) {
+      assigns.push_back(RandomAssignment<TropicalSemiring>(rng, 6));
+    }
+    std::vector<uint64_t> buffer;
+    std::vector<size_t> widths;
+    size_t next = 0;
+    eval::SweepInTiles<TropicalSemiring, eval::RowMap::kCompact>(
+        ev, plan, assigns, budget_lanes * lane_bytes, &buffer,
+        [&](size_t start, size_t n, const std::vector<uint64_t>&) {
+          EXPECT_EQ(start, next);
+          next += n;
+          widths.push_back(n);
+        });
+    EXPECT_EQ(widths, want) << lanes << " lanes, budget of " << budget_lanes;
   }
 }
 
