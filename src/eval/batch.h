@@ -92,8 +92,8 @@ void EvaluateBatchInto(const Evaluator& evaluator, const EvalPlan& plan,
 /// Byte budget of one batch sweep's buffer, shared by every tiled caller
 /// (batch evaluation, lane materialization and serving). Beyond it lanes are
 /// swept in tiles, each re-walking the shared plan. On wide plans of 75k to
-/// 373k live rows, 64-lane sweeps in 32 MB tiles measured as fast as one
-/// 256 MB sweep or faster (BENCH_sweep.json, "tile_budget").
+/// 373k live rows, 64-lane sweeps in 32 MB tiles measured within run-to-run
+/// spread of one 256 MB sweep, or faster (BENCH_sweep.json, "tile_budget").
 inline constexpr size_t kTileBudgetBytes = size_t{32} << 20;
 
 /// The one tile rule: sweeps `assignments` through `plan` in as few tiles
@@ -186,18 +186,8 @@ inline std::vector<std::vector<bool>> EvaluateBooleanBitBatch(
     }
   }
   auto vals = std::make_unique_for_overwrite<uint64_t[]>(plan.num_rows() * W);
-  // Up to 64 lanes fit one word, and a row fixed at one word keeps a narrow
-  // burst's per-gate work to a single word op. The runtime-width loop costs
-  // more than the word op it wraps: on a 345k-slot Bellman-Ford plan at 16
-  // lanes, on a 4-vCPU Xeon, it measured 0.41 ns per slot-lane against 0.24
-  // for the fixed word (BENCH_sweep.json, "bitbatch_replay").
-  if (W == 1) {
-    evaluator.Sweep<internal::BitLanes, 1, RowMap::kCompact>(plan, in, W,
-                                                             vals.get());
-  } else {
-    evaluator.Sweep<internal::BitLanes, 0, RowMap::kCompact>(plan, in, W,
-                                                             vals.get());
-  }
+  evaluator.Sweep<internal::BitLanes, 0, RowMap::kCompact>(plan, in, W,
+                                                           vals.get());
   std::vector<std::vector<bool>> out(B,
                                      std::vector<bool>(plan.num_outputs()));
   for (size_t k = 0; k < plan.num_outputs(); ++k) {
