@@ -69,9 +69,7 @@ std::string MakeGraphCsv(uint32_t n, uint32_t m, Rng* rng) {
 }
 
 pipeline::Session MakeSession(const std::string& graph_csv) {
-  pipeline::SessionOptions options;
-  options.eval.num_threads = 1;
-  auto session_r = pipeline::Session::FromDatalog(kTcProgram, options);
+  auto session_r = pipeline::Session::FromDatalog(kTcProgram);
   DLCIRC_CHECK(session_r.ok()) << session_r.error();
   pipeline::Session session = std::move(session_r).value();
   auto loaded = session.LoadGraphCsv(graph_csv);

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "src/eval/batch.h"
 #include "src/pipeline/planner.h"
 #include "src/pipeline/session.h"
 #include "src/semiring/instances.h"
@@ -142,15 +143,11 @@ std::vector<RouteRun> RunWorkload(const char* program, const std::string& facts,
       lane.push_back(S::RandomValue(rng));
     }
   }
-  std::vector<uint32_t> facts_out;
-  for (uint32_t i = 0; i < session.grounded().num_idb_facts(); ++i) {
-    facts_out.push_back(i);
-  }
-
   pipeline::RouteDecision decision =
       session.PlanConstruction(pipeline::SemiringTraits::For<S>());
   std::vector<RouteRun> runs;
   std::vector<std::vector<typename S::Value>> oracle;
+  eval::Evaluator evaluator;
   for (const pipeline::PlanCandidate& cand : decision.candidates) {
     if (!cand.applicable) {
       if (std::getenv("DLCIRC_BENCH_DEBUG")) {
@@ -176,30 +173,27 @@ std::vector<RouteRun> RunWorkload(const char* program, const std::string& facts,
     run.size = stats.size;
     run.depth = stats.depth;
 
+    // Output i of every construction's plan is IDB fact i, so the batch
+    // outputs are every grounded fact's value, in fact-id order.
     t0 = std::chrono::steady_clock::now();
-    Result<std::vector<std::vector<typename S::Value>>> out =
-        Result<std::vector<std::vector<typename S::Value>>>::Error("unset");
+    std::vector<std::vector<typename S::Value>> out;
     for (uint32_t r = 0; r < reps; ++r) {
-      out = session.TagBatch<S>(key, lanes, facts_out);
-      if (!out.ok()) {
-        std::cerr << "eval: " << out.error() << "\n";
-        std::exit(1);
-      }
+      out = eval::EvaluateBatch<S>(evaluator, compiled.value()->plan, lanes);
     }
     run.eval_ms = MsSince(t0) / reps;
 
     if (cand.construction == Construction::kGrounded) {
-      oracle = out.value();
+      oracle = out;
     } else if (!oracle.empty()) {
       for (size_t b = 0; b < oracle.size(); ++b) {
         for (size_t i = 0; i < oracle[b].size(); ++i) {
           bool same;
           if constexpr (std::is_same_v<typename S::Value, double>) {
-            double a = out.value()[b][i], o = oracle[b][i];
+            double a = out[b][i], o = oracle[b][i];
             same = std::abs(a - o) <= 1e-9 * std::max({1.0, std::abs(a),
                                                        std::abs(o)});
           } else {
-            same = S::Eq(out.value()[b][i], oracle[b][i]);
+            same = S::Eq(out[b][i], oracle[b][i]);
           }
           if (!same) {
             std::cerr << "PARITY FAIL: "

@@ -28,6 +28,7 @@
 
 #include "bench/harness.h"
 #include "src/cflr/cflr.h"
+#include "src/eval/batch.h"
 #include "src/graph/generators.h"
 #include "src/lang/cfg.h"
 #include "src/pipeline/chain_planner.h"
@@ -131,13 +132,11 @@ bool RoutedVsCflr(const Workload& w, size_t requests, Rng* rng, Table* table) {
     std::cerr << compiled.error() << "\n";
     return false;
   }
+  eval::Evaluator evaluator;
   Clock::time_point t0 = Clock::now();
-  auto batch = session.TagBatch<S>(key, lanes, facts);
+  const std::vector<std::vector<typename S::Value>> outputs =
+      eval::EvaluateBatch<S>(evaluator, compiled.value()->plan, lanes);
   double routed_ms = MsSince(t0);
-  if (!batch.ok()) {
-    std::cerr << batch.error() << "\n";
-    return false;
-  }
 
   // Baseline: the Knuth solver re-runs per request.
   Cfg cnf = w.cfg.ToCnf();
@@ -166,7 +165,7 @@ bool RoutedVsCflr(const Workload& w, size_t requests, Rng* rng, Table* table) {
                                        vertex_of_const[f.tuple[1]]));
       typename S::Value expected =
           it == solved[r].end() ? S::Zero() : it->second;
-      typename S::Value got = batch.value()[r][i];
+      typename S::Value got = outputs[r][facts[i]];
       if constexpr (std::is_same_v<typename S::Value, double>) {
         double scale = std::max(1.0, std::max(std::abs(got), std::abs(expected)));
         parity = std::abs(got - expected) <= 1e-9 * scale;

@@ -67,8 +67,7 @@ struct LoadPoint {
 };
 
 /// Builds the shared TC session over a random connected graph; returns the
-/// graph CSV so callers can rebuild an identical session (cold-compile
-/// timing needs a second, uncached session).
+/// graph CSV so callers can rebuild an identical session.
 std::string MakeGraphCsv(uint32_t n, uint32_t m, Rng* rng) {
   StGraph g = RandomConnectedGraph(n, m, /*num_labels=*/1, *rng);
   std::ostringstream csv;
@@ -78,10 +77,8 @@ std::string MakeGraphCsv(uint32_t n, uint32_t m, Rng* rng) {
   return csv.str();
 }
 
-pipeline::Session MakeSession(const std::string& graph_csv, int threads) {
-  pipeline::SessionOptions options;
-  options.eval.num_threads = threads;
-  auto session_r = pipeline::Session::FromDatalog(kTcProgram, options);
+pipeline::Session MakeSession(const std::string& graph_csv) {
+  auto session_r = pipeline::Session::FromDatalog(kTcProgram);
   DLCIRC_CHECK(session_r.ok()) << session_r.error();
   pipeline::Session session = std::move(session_r).value();
   auto loaded = session.LoadGraphCsv(graph_csv);
@@ -220,7 +217,7 @@ SnapshotResult SnapshotRoundTrip(const std::string& graph_csv,
   result.semiring = S::Name();
   pipeline::PlanKey key = pipeline::PlanKey::For<S>();
 
-  pipeline::Session cold = MakeSession(graph_csv, 1);
+  pipeline::Session cold = MakeSession(graph_csv);
   Clock::time_point t0 = Clock::now();
   auto compiled = cold.Compile(key);
   result.compile_ms = MsSince(t0);
@@ -291,7 +288,7 @@ int main(int argc, char** argv) {
   const uint32_t m = small ? 24 : 60;
   Rng rng(20260731);
   const std::string graph_csv = MakeGraphCsv(n, m, &rng);
-  pipeline::Session session = MakeSession(graph_csv, 1);
+  pipeline::Session session = MakeSession(graph_csv);
   const uint32_t num_facts = session.db().num_facts();
 
   const std::vector<std::string> semirings = {"tropical", "boolean",

@@ -7,12 +7,12 @@
 // structure-of-arrays rows — vals[row * B + b] — so the inner loop over
 // the batch is a tight, contiguous sweep, walked in fixed-width lane blocks.
 //
-// Batch buffers hold rows, not slots: by default a sweep keeps only the
-// values still to be read (EvalPlan::row_of), so a plan of millions of
-// slots sweeps a buffer sized by its widest live set, and only outputs are
-// readable afterwards. Callers that need every slot — lane materialization
-// (IncrementalEvaluator::MaterializeBatch), whose states serve delta updates
-// and explains — sweep RowMap::kEverySlot instead.
+// Batch buffers hold rows, not slots: a sweep keeps only the values still
+// to be read (EvalPlan::row_of), so a plan of millions of slots sweeps a
+// buffer sized by its widest live set, and only outputs are readable
+// afterwards. Callers that need every slot (lane states, which serve delta
+// updates and explains) evaluate one lane at a time with
+// Evaluator::EvaluateInto instead.
 //
 // Parallelism composes with the Evaluator: wide layers are split across the
 // worker pool exactly as in single-assignment evaluation, with thresholds
@@ -69,15 +69,14 @@ struct BatchAssignment {
   }
 };
 
-/// Evaluates `plan` under all lanes of `batch` at once. Under the default
-/// RowMap::kCompact, `slots` ends up holding plan.num_rows() rows of
-/// batch_size values, row-major: lane b of slot s was written to
-/// (*slots)[plan.row_of()[s] * batch_size + b], and rows are reused once
-/// their last reader has run, so only outputs survive the sweep: output k
-/// of lane b is at (*slots)[plan.output_row(k) * batch_size + b].
-/// RowMap::kEverySlot keeps one row per slot instead (row = slot). The
-/// buffer is resized, never cleared.
-template <Semiring S, RowMap kRows = RowMap::kCompact>
+/// Evaluates `plan` under all lanes of `batch` at once. `slots` ends up
+/// holding plan.num_rows() rows of batch_size values, row-major: lane b of
+/// slot s was written to (*slots)[plan.row_of()[s] * batch_size + b], and
+/// rows are reused once their last reader has run, so only outputs survive
+/// the sweep: output k of lane b is at
+/// (*slots)[plan.output_row(k) * batch_size + b]. The buffer is resized,
+/// never cleared.
+template <Semiring S>
 void EvaluateBatchInto(const Evaluator& evaluator, const EvalPlan& plan,
                        const BatchAssignment<S>& batch,
                        std::vector<SlotValue<S>>* slots) {
@@ -85,24 +84,24 @@ void EvaluateBatchInto(const Evaluator& evaluator, const EvalPlan& plan,
   DLCIRC_CHECK_GT(B, 0u);
   DLCIRC_CHECK_LE(static_cast<size_t>(plan.num_vars()) * B,
                   batch.values.size());
-  slots->resize(RowsHeld<kRows>(plan) * B);
-  evaluator.Sweep<S, 0, kRows>(plan, batch.values, B, slots->data());
+  slots->resize(plan.num_rows() * B);
+  evaluator.Sweep<S, 0, RowMap::kCompact>(plan, batch.values, B,
+                                          slots->data());
 }
 
 /// Byte budget of one batch sweep's buffer, shared by every tiled caller
-/// (batch evaluation, lane materialization and serving). Beyond it lanes are
-/// swept in tiles, each re-walking the shared plan. On wide plans of 75k to
-/// 373k live rows, 64-lane sweeps in 32 MB tiles measured within run-to-run
-/// spread of one 256 MB sweep, or faster (BENCH_sweep.json, "tile_budget").
+/// (batch evaluation and serving). Beyond it lanes are swept in tiles, each
+/// re-walking the shared plan. On wide plans of 75k to 373k live rows,
+/// 64-lane sweeps in 32 MB tiles measured within run-to-run spread of one
+/// 256 MB sweep, or faster (BENCH_sweep.json, "tile_budget").
 inline constexpr size_t kTileBudgetBytes = size_t{32} << 20;
 
 /// The one tile rule: sweeps `assignments` through `plan` in as few tiles
-/// as fit `budget_bytes` (at least one lane each), given the rows kRows
-/// holds, and after each tile calls consume(start, lanes, *buffer) with
-/// lanes [start, start + lanes) laid out as EvaluateBatchInto documents.
-/// Tiles are as even as the lane count allows: a short last tile would pay
-/// a whole plan walk for a few lanes.
-template <Semiring S, RowMap kRows, typename Consume>
+/// as fit `budget_bytes` (at least one lane each) and after each tile calls
+/// consume(start, lanes, *buffer) with lanes [start, start + lanes) laid
+/// out as EvaluateBatchInto documents. Tiles are as even as the lane count
+/// allows: a short last tile would pay a whole plan walk for a few lanes.
+template <Semiring S, typename Consume>
 void SweepInTiles(const Evaluator& evaluator, const EvalPlan& plan,
                   const std::vector<std::vector<typename S::Value>>& assignments,
                   size_t budget_bytes, std::vector<SlotValue<S>>* buffer,
@@ -110,7 +109,7 @@ void SweepInTiles(const Evaluator& evaluator, const EvalPlan& plan,
   const size_t B = assignments.size();
   DLCIRC_CHECK_GT(B, 0u);
   const size_t lane_bytes =
-      std::max<size_t>(1, RowsHeld<kRows>(plan) * sizeof(SlotValue<S>));
+      std::max<size_t>(1, plan.num_rows() * sizeof(SlotValue<S>));
   const size_t widest = std::clamp<size_t>(budget_bytes / lane_bytes, 1, B);
   const size_t tiles = (B + widest - 1) / widest;
   const size_t tile = (B + tiles - 1) / tiles;
@@ -118,7 +117,7 @@ void SweepInTiles(const Evaluator& evaluator, const EvalPlan& plan,
     const size_t lanes = std::min(tile, B - start);
     BatchAssignment<S> batch =
         BatchAssignment<S>::PackRange(assignments, start, lanes, plan.num_vars());
-    EvaluateBatchInto<S, kRows>(evaluator, plan, batch, buffer);
+    EvaluateBatchInto<S>(evaluator, plan, batch, buffer);
     consume(start, lanes, *buffer);
   }
 }
@@ -135,7 +134,7 @@ std::vector<std::vector<typename S::Value>> EvaluateBatch(
   std::vector<std::vector<typename S::Value>> out(assignments.size());
   for (auto& lane : out) lane.reserve(plan.num_outputs());
   std::vector<SlotValue<S>> buffer;
-  SweepInTiles<S, RowMap::kCompact>(
+  SweepInTiles<S>(
       evaluator, plan, assignments, tile_budget_bytes, &buffer,
       [&](size_t start, size_t lanes, const std::vector<SlotValue<S>>& vals) {
         for (size_t k = 0; k < plan.num_outputs(); ++k) {

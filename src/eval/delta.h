@@ -37,7 +37,6 @@
 #include <limits>
 #include <vector>
 
-#include "src/eval/batch.h"
 #include "src/eval/evaluator.h"
 #include "src/semiring/semiring.h"
 #include "src/util/check.h"
@@ -217,33 +216,6 @@ class IncrementalEvaluator {
     full_->EvaluateInto<S>(plan, assignment, &state.slots);
     state.assignment = std::move(assignment);
     return state;
-  }
-
-  /// Materializes one EvalState per assignment through the batched SoA
-  /// kernel: one (lane-tiled) batch sweep plus a transpose, instead of one
-  /// full plan walk per lane — the batch amortization of batch.h applied to
-  /// serving startup. The sweep keeps every slot (RowMap::kEverySlot),
-  /// because states serve delta updates and explains; SweepInTiles tiles it.
-  template <Semiring S>
-  std::vector<EvalState<S>> MaterializeBatch(
-      const EvalPlan& plan,
-      const std::vector<std::vector<typename S::Value>>& assignments,
-      size_t tile_budget_bytes = kTileBudgetBytes) const {
-    std::vector<EvalState<S>> states(assignments.size());
-    std::vector<SlotValue<S>> buffer;
-    SweepInTiles<S, RowMap::kEverySlot>(
-        *full_, plan, assignments, tile_budget_bytes, &buffer,
-        [&](size_t start, size_t lanes, const std::vector<SlotValue<S>>& vals) {
-          for (size_t b = 0; b < lanes; ++b) {
-            EvalState<S>& state = states[start + b];
-            state.assignment = assignments[start + b];
-            state.slots.resize(plan.num_slots());
-            for (size_t s = 0; s < plan.num_slots(); ++s) {
-              state.slots[s] = vals[s * lanes + b];
-            }
-          }
-        });
-    return states;
   }
 
   /// Applies `delta` to `state` (assignment and slot values), propagating a

@@ -129,12 +129,6 @@ enum class RowMap {
   kCompact,    ///< row = plan.row_of()[slot]: only outputs stay readable
 };
 
-/// Rows a sweep over `plan` holds under row map `kRows`.
-template <RowMap kRows>
-size_t RowsHeld(const EvalPlan& plan) {
-  return kRows == RowMap::kCompact ? plan.num_rows() : plan.num_slots();
-}
-
 namespace internal {
 
 /// Runtime-width lane loops advance in blocks of this many lanes, so the
@@ -229,10 +223,11 @@ class Evaluator {
   /// over `Ops` (a semiring, or any type with its Zero/One/Plus/Times),
   /// storing lane b of slot s at vals[row * width + b], where row is s under
   /// RowMap::kEverySlot and plan.row_of()[s] under RowMap::kCompact; `vals`
-  /// must hold RowsHeld<kRows>(plan) * width elements. Lane b of variable v
-  /// is read from in[v * width + b]. kWidth > 0 fixes `width` at compile
-  /// time, and a runtime width of 1 runs as kWidth = 1. Every row is written
-  /// before it is read, so `vals` needs no initialization.
+  /// must hold num_slots() or num_rows() rows of `width` elements
+  /// respectively. Lane b of variable v is read from in[v * width + b].
+  /// kWidth > 0 fixes `width` at compile time, and a runtime width of 1
+  /// runs as kWidth = 1. Every row is written before it is read, so `vals`
+  /// needs no initialization.
   template <typename Ops, size_t kWidth, RowMap kRows, typename T,
             typename In>
   void Sweep(const EvalPlan& plan, const In& in, size_t width, T* vals) const {

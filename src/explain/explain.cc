@@ -34,40 +34,6 @@ std::vector<uint32_t> PlanCone(const eval::EvalPlan& plan, uint32_t root) {
   return cone;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xf];
-          out += hex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string VarName(const std::vector<std::string>& var_names, uint32_t var) {
   if (var < var_names.size() && !var_names[var].empty()) {
     return var_names[var];
@@ -142,9 +108,9 @@ std::string RenderWhyJson(const WhyResult& res, bool times_idempotent,
                           const std::vector<std::string>& var_names) {
   std::string out = "{\"mode\":\"";
   out += times_idempotent ? "why" : "sorp";
-  out += "\",\"fact\":\"" + internal::JsonEscape(fact_name) + "\"";
+  out += "\",\"fact\":\"" + JsonEscape(fact_name) + "\"";
   if (!value.empty()) {
-    out += ",\"value\":\"" + internal::JsonEscape(value) + "\"";
+    out += ",\"value\":\"" + JsonEscape(value) + "\"";
   }
   out += ",\"max_trees\":" + std::to_string(max_trees) +
          ",\"truncated\":" + (res.truncated ? "true" : "false") +
@@ -157,12 +123,12 @@ std::string RenderWhyJson(const WhyResult& res, bool times_idempotent,
     for (size_t v = 0; v < mono.size(); ++v) {
       if (v > 0) out += ",";
       out += "\"" +
-             internal::JsonEscape(internal::VarName(var_names, mono[v])) +
+             JsonEscape(internal::VarName(var_names, mono[v])) +
              "\"";
     }
     out += "]";
   }
-  out += "],\"polynomial\":\"" + internal::JsonEscape(res.poly.ToString()) +
+  out += "],\"polynomial\":\"" + JsonEscape(res.poly.ToString()) +
          "\"}";
   return out;
 }

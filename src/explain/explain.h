@@ -54,6 +54,7 @@
 #include "src/semiring/provenance_poly.h"
 #include "src/semiring/semiring.h"
 #include "src/util/check.h"
+#include "src/util/json.h"
 #include "src/util/result.h"
 
 namespace dlcirc {
@@ -351,9 +352,6 @@ class KBest {
   uint64_t expansions_ = 0;
 };
 
-/// Shared by the renderers below; matches serve's wire escaping.
-std::string JsonEscape(const std::string& s);
-
 /// Renders a preorder shape-token sequence as a nested JSON tree.
 /// `leaf_json(var)` renders one EDB leaf object.
 template <typename LeafFn>
@@ -515,27 +513,27 @@ std::string RenderTopKJson(const TopKResult<S>& res,
                            const std::vector<typename S::Value>& assignment) {
   auto leaf = [&](uint32_t var) {
     std::string j = "{\"fact\":\"" +
-                    internal::JsonEscape(internal::VarName(var_names, var)) +
+                    JsonEscape(internal::VarName(var_names, var)) +
                     "\",\"var\":" + std::to_string(var);
     if (var < assignment.size()) {
       j += ",\"tag\":\"" +
-           internal::JsonEscape(ValueString<S>(assignment[var])) + "\"";
+           JsonEscape(ValueString<S>(assignment[var])) + "\"";
     }
     return j + "}";
   };
   std::string out = "{\"mode\":\"proofs\",\"fact\":\"" +
-                    internal::JsonEscape(fact_name) +
+                    JsonEscape(fact_name) +
                     "\",\"k\":" + std::to_string(limits.k) +
                     ",\"max_trees\":" + std::to_string(limits.max_trees) +
                     ",\"value\":\"" +
-                    internal::JsonEscape(ValueString<S>(res.value)) +
+                    JsonEscape(ValueString<S>(res.value)) +
                     "\",\"truncated\":" + (res.truncated ? "true" : "false") +
                     ",\"proofs\":[";
   for (size_t i = 0; i < res.proofs.size(); ++i) {
     const Proof<S>& p = res.proofs[i];
     if (i > 0) out += ",";
     out += "{\"weight\":\"" +
-           internal::JsonEscape(ValueString<S>(p.weight)) +
+           JsonEscape(ValueString<S>(p.weight)) +
            "\",\"leaves\":[";
     for (size_t l = 0; l < p.leaves.size(); ++l) {
       if (l > 0) out += ",";
@@ -563,8 +561,8 @@ std::string RenderFormulaJson(const FormulaExplainResult<S>& res,
   std::ostringstream bound;
   bound << res.depth_bound;
   return "{\"mode\":\"formula\",\"fact\":\"" +
-         internal::JsonEscape(fact_name) + "\",\"value\":\"" +
-         internal::JsonEscape(ValueString<S>(res.value)) +
+         JsonEscape(fact_name) + "\",\"value\":\"" +
+         JsonEscape(ValueString<S>(res.value)) +
          "\",\"formula_size\":" + std::to_string(res.original_size) +
          ",\"formula_depth\":" + std::to_string(res.original_depth) +
          ",\"balanced_size\":" + std::to_string(res.balanced_size) +

@@ -1,46 +1,9 @@
 #include "src/obs/trace.h"
 
+#include "src/util/json.h"
+
 namespace dlcirc {
 namespace obs {
-
-namespace {
-
-// Minimal JSON string escaping for event names/categories. obs is
-// dependency-free by design (serve depends on obs, not the reverse), so it
-// cannot borrow serve::JsonEscape; span names are short ASCII literals and
-// this covers the full control range regardless.
-void AppendJsonEscaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xf];
-          out += hex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 TraceRecorder& TraceRecorder::Default() {
   static TraceRecorder* r = new TraceRecorder();  // leaked: outlives threads
@@ -90,9 +53,9 @@ void TraceRecorder::WriteChromeTrace(std::ostream& out) const {
     if (need_comma) buf += ',';
     need_comma = true;
     buf += "{\"name\":\"";
-    AppendJsonEscaped(buf, e.name);
+    buf += JsonEscape(e.name);
     buf += "\",\"cat\":\"";
-    AppendJsonEscaped(buf, e.category);
+    buf += JsonEscape(e.category);
     buf += "\",\"ph\":\"X\",\"ts\":";
     // Microseconds with sub-microsecond precision kept as a decimal.
     const uint64_t rel = e.start_ns - origin_ns;

@@ -8,6 +8,7 @@
 #include "src/lang/chain_datalog.h"
 #include "src/lang/dfa.h"
 #include "src/util/check.h"
+#include "src/util/json.h"
 
 namespace dlcirc {
 namespace pipeline {
@@ -36,27 +37,6 @@ std::string Num(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.0f", v);
   return buf;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    switch (ch) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += ch;
-    }
-  }
-  return out;
 }
 
 std::string TraitsSummary(const SemiringTraits& t) {

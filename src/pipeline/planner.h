@@ -35,8 +35,7 @@
 // a reason instead of a score) and returns an explainable RouteDecision —
 // the plan tree `dlcirc run|serve --explain` renders. Session::PlanConstruction
 // is the front door; the chosen Construction goes into the ordinary PlanKey,
-// so the plan cache, PlanStore, snapshots, and serve channels apply
-// unchanged.
+// so the PlanStore, snapshots, and serve channels apply unchanged.
 #ifndef DLCIRC_PIPELINE_PLANNER_H_
 #define DLCIRC_PIPELINE_PLANNER_H_
 

@@ -23,30 +23,26 @@ double MsSince(uint64_t start_ns) {
 }
 }  // namespace
 
-Session::Session(Program program, SessionOptions options)
-    : program_(std::move(program)),
-      options_(options),
-      evaluator_(std::make_unique<eval::Evaluator>(options.eval)) {}
+Session::Session(Program program) : program_(std::move(program)) {}
 
-Result<Session> Session::FromDatalog(std::string_view program_text,
-                                     SessionOptions options) {
+Result<Session> Session::FromDatalog(std::string_view program_text) {
   const uint64_t t0 = obs::NowNs();
   obs::TraceSpan span("compile", "parse");
   Result<Program> program = ParseProgram(program_text);
   if (!program.ok()) return Result<Session>::Error(program.error());
-  Session session(std::move(program).value(), options);
+  Session session(std::move(program).value());
   session.phases_.parse_ms = MsSince(t0);
   return session;
 }
 
-Result<Session> Session::FromCfg(const Cfg& cfg, SessionOptions options) {
+Result<Session> Session::FromCfg(const Cfg& cfg) {
   if (cfg.IsEmptyLanguage()) {
     return Result<Session>::Error(
         "CFG generates the empty language; no reachability program to run");
   }
   const uint64_t t0 = obs::NowNs();
   obs::TraceSpan span("compile", "parse");
-  Session session(CfgToChainProgram(cfg), options);
+  Session session(CfgToChainProgram(cfg));
   session.phases_.parse_ms = MsSince(t0);
   return session;
 }
@@ -126,10 +122,6 @@ RouteDecision Session::PlanConstruction(const SemiringTraits& traits,
 Result<std::shared_ptr<const CompiledPlan>> Session::Compile(const PlanKey& key) {
   using Out = Result<std::shared_ptr<const CompiledPlan>>;
   if (!db_.has_value()) return Out::Error("no EDB loaded");
-  if (auto it = plan_cache_.find(key); it != plan_cache_.end()) {
-    ++stats_.plan_cache_hits;
-    return it->second;
-  }
   if (key.construction == Construction::kUvg &&
       !(key.absorptive && key.plus_idempotent)) {
     return Out::Error(
@@ -318,15 +310,7 @@ Result<std::shared_ptr<const CompiledPlan>> Session::Compile(const PlanKey& key)
 #endif
   plan_span.End();
   phases_.plan_build_ms = MsSince(t0);
-
-  ++stats_.plan_cache_misses;
-  plan_cache_.emplace(key, compiled);
   return std::shared_ptr<const CompiledPlan>(std::move(compiled));
-}
-
-void Session::AdoptPlan(std::shared_ptr<const CompiledPlan> plan) {
-  DLCIRC_CHECK(plan != nullptr);
-  plan_cache_.emplace(plan->key, std::move(plan));
 }
 
 const std::vector<uint32_t>& Session::TargetFacts() {

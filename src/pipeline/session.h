@@ -1,5 +1,5 @@
-// The pipeline front door: one object that owns the paper's whole flow
-// (Sections 2-6) —
+// The pipeline's compiler: one object per (program, EDB) pair that runs the
+// paper's flow (Sections 2-6) up to a compiled plan —
 //
 //   program (Datalog text or CFG workload)      src/lang, src/datalog
 //     -> EDB (facts text or edge-list graph)    src/datalog, src/graph
@@ -7,26 +7,29 @@
 //     -> provenance circuit construction        src/constructions
 //     -> optimizer pass pipeline                src/eval/passes
 //     -> compiled EvalPlan                      src/eval/evaluator
-//     -> batched semiring taggings              src/eval/batch
-//     -> incremental tag updates                src/eval/delta
 //
-// The expensive prefix (ground once, build once, optimize once, compile
-// once) is cached per PlanKey = (construction, semiring-class flags, layer
-// bound); the program and EDB are fixed per Session, so repeated tagging
-// requests — the serving path — hit the cache and go straight to the batch
-// evaluator, and served batches stay live for sparse per-lane updates
-// (ServeTags/UpdateTags). tools/dlcirc_cli.cc is the command-line face of
-// this API.
+// Parsing, grounding, the routing analyses and the digests happen once per
+// Session; Compile builds a fresh plan for a PlanKey = (construction,
+// semiring-class flags, layer bound) on every call. Compiled plans are owned
+// by serve::PlanStore (compile once per key, share, snapshot, evict) and
+// evaluated by serve::Server (coalesced batch sweeps, named lanes with
+// incremental updates, explains); tools/dlcirc_cli.cc fronts both.
+//
+// Thread contract: Compile and the lazy getters (grounded, chain_route,
+// planner_context, TargetFacts, the digests) fill caches and are NOT
+// thread-safe. serve::PlanStore is the one concurrent caller and serializes
+// every Session call it makes under its compile lock; serve::Server warms
+// the lazy caches before its dispatchers start, after which the naming calls
+// (FindFact, FactName, EdbFactName, TargetFacts) only read and may run on
+// one foreground thread beside it.
 #ifndef DLCIRC_PIPELINE_SESSION_H_
 #define DLCIRC_PIPELINE_SESSION_H_
 
-#include <any>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -34,8 +37,6 @@
 #include "src/datalog/ast.h"
 #include "src/datalog/database.h"
 #include "src/datalog/grounding.h"
-#include "src/eval/batch.h"
-#include "src/eval/delta.h"
 #include "src/eval/evaluator.h"
 #include "src/eval/passes.h"
 #include "src/lang/cfg.h"
@@ -92,9 +93,9 @@ struct PlanKeyHash {
   }
 };
 
-/// One cached compilation: the optimized circuit, its EvalPlan, and the
-/// provenance of how it was produced. Immutable and shared; output i of
-/// both `circuit` and `plan` computes the provenance of IDB fact i.
+/// One compilation: the optimized circuit, its EvalPlan, and the provenance
+/// of how it was produced. Immutable and shared; output i of both `circuit`
+/// and `plan` computes the provenance of IDB fact i.
 struct CompiledPlan {
   PlanKey key;
   Circuit circuit;
@@ -105,21 +106,13 @@ struct CompiledPlan {
   bool reached_fixpoint = false;  ///< grounded: structural fixpoint hit early
 };
 
-struct SessionStats {
-  uint64_t plan_cache_hits = 0;
-  uint64_t plan_cache_misses = 0;
-  uint64_t incremental_updates = 0;    ///< UpdateTags calls served
-  uint64_t incremental_fallbacks = 0;  ///< of those, full re-evaluations
-};
-
 /// Wall-clock breakdown of the compile pipeline, milliseconds. Parse and
-/// ground are once per Session; route is the chain-planner analysis (PR 5's
-/// dichotomy decision); construct/passes/plan_build reflect the MOST RECENT
-/// Compile miss (a cache hit leaves them untouched). Phases are timed
-/// unconditionally — each runs at most once per compiled plan, so two clock
-/// reads per phase vanish against the work they bracket — which is what
-/// lets `dlcirc run --profile` report them even when the flag is parsed
-/// after the session was built.
+/// ground are once per Session; route is the chain-planner analysis (the
+/// dichotomy decision) plus the planner context; construct/passes/plan_build
+/// reflect the most recent Compile. Phases are timed unconditionally — each
+/// runs once per compiled plan, so two clock reads per phase vanish against
+/// the work they bracket — which is what lets `dlcirc run --profile` report
+/// them even when the flag is parsed after the session was built.
 struct PhaseProfile {
   double parse_ms = 0;       ///< Datalog/CFG text -> Program
   double ground_ms = 0;      ///< relevant grounding
@@ -129,30 +122,13 @@ struct PhaseProfile {
   double plan_build_ms = 0;  ///< EvalPlan::Build
 };
 
-/// A batch of taggings kept live for incremental updates: one materialized
-/// EvalState per lane, pinned to the compiled plan it was evaluated through.
-/// Owned by the Session (type-erased); users go through ServeTags/UpdateTags.
-template <Semiring S>
-struct ServedTagBatch {
-  PlanKey key;
-  std::shared_ptr<const CompiledPlan> plan;
-  std::vector<uint32_t> facts;             ///< served IDB fact ids
-  std::vector<eval::EvalState<S>> lanes;   ///< one state per tagging lane
-  eval::IncrementalEvaluator incremental;
-};
-
-struct SessionOptions {
-  eval::EvalOptions eval;  ///< worker-pool configuration for the evaluator
-};
-
 class Session {
  public:
   /// Parses a Datalog program (src/datalog/parser.h syntax).
-  static Result<Session> FromDatalog(std::string_view program_text,
-                                     SessionOptions options = {});
+  static Result<Session> FromDatalog(std::string_view program_text);
   /// Adopts a CFG workload via the chain-Datalog correspondence (Prop 5.2):
   /// terminal a becomes binary EDB a, the start symbol the target.
-  static Result<Session> FromCfg(const Cfg& cfg, SessionOptions options = {});
+  static Result<Session> FromCfg(const Cfg& cfg);
 
   Session(Session&&) = default;
   Session& operator=(Session&&) = default;
@@ -200,23 +176,13 @@ class Session {
   RouteDecision PlanConstruction(const SemiringTraits& traits,
                                  const PlannerOptions& options = {});
 
-  /// Compiles (or returns the cached) plan for `key`. Fails when the key is
-  /// inconsistent (UVG without absorptive flags, bounded without a
-  /// boundedness verdict, ...). Requires a loaded EDB.
+  /// Compiles a fresh plan for `key` (no caching: serve::PlanStore owns
+  /// and shares compiled plans). Fails when the key is inconsistent (UVG
+  /// without absorptive flags, bounded without a boundedness verdict, ...).
+  /// Requires a loaded EDB.
   Result<std::shared_ptr<const CompiledPlan>> Compile(const PlanKey& key);
 
-  /// Adopts an externally obtained plan (a deserialized snapshot,
-  /// src/serve/snapshot.h) into the plan cache under plan->key, so the
-  /// serving paths (TagBatch/ServeTags/UpdateTags) use it instead of
-  /// recompiling. A plan already cached for that key wins (the cache never
-  /// flips out from under live served batches); the caller is responsible
-  /// for the plan matching this session's program and EDB — which is what
-  /// snapshot digests verify.
-  void AdoptPlan(std::shared_ptr<const CompiledPlan> plan);
-
-  const SessionStats& stats() const { return stats_; }
   const PhaseProfile& phase_profile() const { return phases_; }
-  eval::Evaluator& evaluator() { return *evaluator_; }
 
   /// Content digests identifying what a compiled plan was built from, for
   /// the serving layer's plan registry and snapshot files (src/serve): two
@@ -240,148 +206,15 @@ class Session {
   std::string FactName(uint32_t idb_fact);
   std::string EdbFactName(uint32_t var) const;
 
-  /// The serving path: evaluates the provenance of `facts` (IDB fact ids;
-  /// kNotFound entries yield 0) under every tagging lane at once, through
-  /// the cached plan for `key`. Each lane must supply db().num_facts()
-  /// values. result[lane][i] is the value of facts[i] under lane `lane`.
-  template <Semiring S>
-  Result<std::vector<std::vector<typename S::Value>>> TagBatch(
-      const PlanKey& key,
-      const std::vector<std::vector<typename S::Value>>& taggings,
-      const std::vector<uint32_t>& facts) {
-    using Out = std::vector<std::vector<typename S::Value>>;
-    if (!has_database()) return Result<Out>::Error("no EDB loaded");
-    if (taggings.empty()) return Result<Out>::Error("empty tagging batch");
-    for (const auto& lane : taggings) {
-      if (lane.size() != db().num_facts()) {
-        return Result<Out>::Error(
-            "tagging lane has " + std::to_string(lane.size()) + " values; EDB has " +
-            std::to_string(db().num_facts()) + " facts");
-      }
-    }
-    auto compiled = Compile(key);
-    if (!compiled.ok()) return Result<Out>::Error(compiled.error());
-    const CompiledPlan& plan = *compiled.value();
-    Out all = eval::EvaluateBatch<S>(*evaluator_, plan.plan, taggings);
-    Out out(taggings.size());
-    for (size_t lane = 0; lane < all.size(); ++lane) {
-      out[lane].reserve(facts.size());
-      for (uint32_t f : facts) {
-        out[lane].push_back(f == kNotFound ? S::Zero() : all[lane][f]);
-      }
-    }
-    return out;
-  }
-
-  /// Like TagBatch, but keeps the batch live for sparse updates: every lane
-  /// is materialized into an EvalState pinned to the cached plan, and
-  /// subsequent UpdateTags<S> calls refresh single lanes incrementally. A
-  /// Session serves one batch at a time; calling ServeTags again (over any
-  /// semiring) replaces the previous served batch.
-  template <Semiring S>
-  Result<std::vector<std::vector<typename S::Value>>> ServeTags(
-      const PlanKey& key,
-      const std::vector<std::vector<typename S::Value>>& taggings,
-      const std::vector<uint32_t>& facts) {
-    using Out = std::vector<std::vector<typename S::Value>>;
-    if (!has_database()) return Result<Out>::Error("no EDB loaded");
-    if (taggings.empty()) return Result<Out>::Error("empty tagging batch");
-    for (const auto& lane : taggings) {
-      if (lane.size() != db().num_facts()) {
-        return Result<Out>::Error(
-            "tagging lane has " + std::to_string(lane.size()) +
-            " values; EDB has " + std::to_string(db().num_facts()) + " facts");
-      }
-    }
-    auto compiled = Compile(key);
-    if (!compiled.ok()) return Result<Out>::Error(compiled.error());
-    ServedTagBatch<S> served{
-        key, compiled.value(), facts, {},
-        eval::IncrementalEvaluator(*evaluator_, eval::DeltaOptions::For<S>())};
-    // One tiled batch sweep materializes every lane (not one full plan walk
-    // per lane) — same amortization as the TagBatch serving path.
-    served.lanes = served.incremental.template MaterializeBatch<S>(
-        served.plan->plan, taggings);
-    Out out;
-    out.reserve(taggings.size());
-    for (const auto& lane : served.lanes) {
-      out.push_back(ServedFactValues<S>(served, lane));
-    }
-    served_ = std::move(served);
-    return out;
-  }
-
-  /// Applies a sparse delta (EDB provenance variable -> new tag) to one lane
-  /// of the served batch and returns the refreshed values of the served
-  /// facts, propagated incrementally through the cached plan (src/eval/delta).
-  template <Semiring S>
-  Result<std::vector<typename S::Value>> UpdateTags(
-      size_t batch_lane, const eval::TagDelta<S>& delta) {
-    using Out = std::vector<typename S::Value>;
-    auto* served = std::any_cast<ServedTagBatch<S>>(&served_);
-    if (served == nullptr) {
-      return Result<Out>::Error("no served " + S::Name() +
-                                " tag batch; call ServeTags first");
-    }
-    if (batch_lane >= served->lanes.size()) {
-      return Result<Out>::Error(
-          "lane " + std::to_string(batch_lane) + " out of range; batch has " +
-          std::to_string(served->lanes.size()) + " lane(s)");
-    }
-    for (const eval::TagUpdate<S>& u : delta) {
-      if (u.var >= db().num_facts()) {
-        return Result<Out>::Error(
-            "tag update names EDB variable x" + std::to_string(u.var) +
-            "; EDB has " + std::to_string(db().num_facts()) + " facts");
-      }
-    }
-    eval::DeltaStats st = served->incremental.template Update<S>(
-        served->plan->plan, &served->lanes[batch_lane], delta);
-    ++stats_.incremental_updates;
-    if (st.full_fallback) ++stats_.incremental_fallbacks;
-    return ServedFactValues<S>(*served, served->lanes[batch_lane]);
-  }
-
-  /// True when a batch over S is live for UpdateTags<S>.
-  template <Semiring S>
-  bool has_served_batch() const {
-    return std::any_cast<ServedTagBatch<S>>(&served_) != nullptr;
-  }
-
  private:
-  explicit Session(Program program, SessionOptions options);
-
-  /// Served-fact values of one lane (kNotFound facts are Zero). Reads the
-  /// served facts' slots directly — O(served facts), not O(all outputs):
-  /// on big plans every IDB fact is an output, and copying them all per
-  /// update would dwarf the incremental propagation this path exists for.
-  template <Semiring S>
-  static std::vector<typename S::Value> ServedFactValues(
-      const ServedTagBatch<S>& served, const eval::EvalState<S>& lane) {
-    const eval::EvalPlan& plan = served.plan->plan;
-    std::vector<typename S::Value> out;
-    out.reserve(served.facts.size());
-    for (uint32_t f : served.facts) {
-      out.push_back(f == kNotFound
-                        ? S::Zero()
-                        : static_cast<typename S::Value>(
-                              lane.slots[plan.output_slots()[f]]));
-    }
-    return out;
-  }
+  explicit Session(Program program);
 
   Program program_;
-  SessionOptions options_;
   std::optional<Database> db_;
   std::vector<uint32_t> edge_vars_;
   std::optional<GroundedProgram> grounded_;
   std::optional<Result<ChainRoute>> chain_route_;
   std::optional<PlannerContext> planner_context_;
-  std::unordered_map<PlanKey, std::shared_ptr<const CompiledPlan>, PlanKeyHash>
-      plan_cache_;
-  std::unique_ptr<eval::Evaluator> evaluator_;
-  std::any served_;  ///< ServedTagBatch<S> for the serving semiring, if any
-  SessionStats stats_;
   PhaseProfile phases_;
   std::optional<uint64_t> program_digest_;
   std::optional<uint64_t> edb_digest_;

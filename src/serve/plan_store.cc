@@ -139,9 +139,6 @@ Result<std::shared_ptr<const pipeline::CompiledPlan>> PlanStore::GetOrCompile(
       plan = std::move(loaded).value();
       from_snapshot = true;
       on_disk = true;
-      // The session's own serving paths (TagBatch/UpdateTags) should run
-      // through the loaded plan too instead of recompiling on first use.
-      session.AdoptPlan(plan);
     }
   }
   if (plan == nullptr) {

@@ -10,6 +10,8 @@
 // compiles through the owning Session exactly once — concurrent requesters
 // for the same plan (or any plan of the same session, since Session itself
 // is single-threaded) wait on the one compile instead of duplicating it.
+// The store is the only owner of compiled plans (Session::Compile keeps no
+// cache), so a plan it drops is freed once its last user lets go.
 //
 // With a snapshot directory configured:
 //   * misses first try to load a snapshot (src/serve/snapshot.h — mmap'd,

@@ -6,7 +6,7 @@
 //   Submit(ServeRequest) -> bounded MPMC queue -> dispatcher threads
 //     -> per-(semiring, construction) channel
 //        - inline-tag eval requests COALESCE: a burst popped from the queue
-//          is packed into SoA TagBatch lanes and swept through the plan
+//          is packed into SoA batch lanes and swept through the plan
 //          once (src/eval/batch.h), so the topology walk is paid per burst,
 //          not per request — the core of the throughput story. The sweep's
 //          buffer holds the plan's live rows only; responses read outputs
@@ -58,6 +58,7 @@
 #include "src/pipeline/semiring_registry.h"
 #include "src/pipeline/session.h"
 #include "src/serve/plan_store.h"
+#include "src/util/json.h"
 #include "src/util/result.h"
 
 namespace dlcirc {
@@ -149,7 +150,7 @@ struct ChannelBatchSummary {
 /// the grounding and digests at construction and thereafter the Session is
 /// only touched through the PlanStore's compile lock, so one Session may sit
 /// behind one Server plus a single foreground thread doing read-only naming
-/// (FindFact/FactName), which is what `dlcirc serve` does.
+/// (FindFact/FactName), which is what `dlcirc serve`, `run` and `explain` do.
 class Server {
  public:
   Server(pipeline::Session& session, PlanStore& plans,
@@ -330,11 +331,9 @@ class Server {
     const std::string& mode = req.explain_mode;
     if (fact == pipeline::Session::kNotFound) {
       // Unknown facts have the zero polynomial: no proofs, no monomials.
-      return Out("{\"mode\":\"" + explain::internal::JsonEscape(mode) +
-                 "\",\"fact\":\"" + explain::internal::JsonEscape(name) +
-                 "\",\"value\":\"" +
-                 explain::internal::JsonEscape(
-                     pipeline::FormatSemiringValue<S>(S::Zero())) +
+      return Out("{\"mode\":\"" + JsonEscape(mode) + "\",\"fact\":\"" +
+                 JsonEscape(name) + "\",\"value\":\"" +
+                 JsonEscape(pipeline::FormatSemiringValue<S>(S::Zero())) +
                  "\",\"truncated\":false,\"proofs\":[],\"monomials\":[]}");
     }
     if (mode.empty() || mode == "proofs") {
@@ -693,7 +692,7 @@ void Server::ServeChannelGroup(const std::string& channel_key,
     }
   } else {
     auto buffer = chan.pool.batch_buffers.Acquire();
-    eval::SweepInTiles<S, eval::RowMap::kCompact>(
+    eval::SweepInTiles<S>(
         evaluator, eplan, assignments, eval::kTileBudgetBytes, &*buffer,
         [&](size_t start, size_t lanes,
             const std::vector<eval::SlotValue<S>>& rows) {

@@ -1,7 +1,6 @@
 #include "src/serve/wire.h"
 
 #include <cctype>
-#include <cstdio>
 
 namespace dlcirc {
 namespace serve {
@@ -305,32 +304,6 @@ class Parser {
 
 Result<JsonValue> ParseJson(std::string_view text) {
   return Parser(text).Parse();
-}
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        // RFC 8259: control characters below 0x20 must be escaped — a
-        // decoded \b in a lane name would otherwise re-emit as a raw byte
-        // and make the response line invalid JSON for conforming clients.
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 namespace {

@@ -33,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/util/json.h"
 #include "src/util/result.h"
 
 namespace dlcirc {
@@ -64,8 +65,8 @@ struct JsonValue {
 /// whitespace allowed). Errors carry a byte offset.
 Result<JsonValue> ParseJson(std::string_view text);
 
-/// Escapes for embedding in a JSON string literal (quotes not included).
-std::string JsonEscape(std::string_view s);
+/// The library's one escaper (src/util/json.h), under its protocol name.
+using ::dlcirc::JsonEscape;
 
 /// Serializes a JsonValue back to one-line JSON. Inverse of ParseJson over
 /// the protocol's value space: ParseJson(WriteJson(v)) succeeds and is

@@ -8,8 +8,8 @@
 //   * against the grounded construction itself on every grounded IDB fact
 //     (both run through the same Session, so this also pins the routed
 //     plan to the normal EvalPlan serving contract).
-// Plus: plan-cache keying, PlanStore snapshot round trips for chain plans,
-// and the idempotence gate (counting rejects finite-rpq).
+// Plus: PlanStore keying and snapshot round trips for chain plans, and the
+// idempotence gate (counting rejects finite-rpq).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -29,6 +29,7 @@
 #include "src/pipeline/session.h"
 #include "src/serve/plan_store.h"
 #include "src/util/rng.h"
+#include "tests/reference_eval.h"
 
 namespace dlcirc {
 namespace pipeline {
@@ -150,7 +151,8 @@ void CheckAgainstCflr(const char* grammar, uint32_t n, uint32_t m,
       Result<uint32_t> fact = session.FindFact(
           target, {"v" + std::to_string(u), "v" + std::to_string(v)});
       ASSERT_TRUE(fact.ok()) << fact.error();
-      auto batch = session.TagBatch<S>(key, lanes, {fact.value()});
+      auto batch = testing::EvaluateFacts<S>(session, key, lanes,
+                                             {fact.value()});
       ASSERT_TRUE(batch.ok()) << batch.error();
       typename S::Value got = batch.value()[0][0];
       auto it = solved.find(CflrKey(cnf.start(), u, v));
@@ -187,11 +189,11 @@ void CheckFiniteMatchesGrounded(const char* grammar, uint32_t n, uint32_t m,
   }
   ASSERT_FALSE(all_facts.empty());
 
-  auto fine = session.TagBatch<S>(
-      PlanKey::For<S>(Construction::kFiniteRpq), lanes, all_facts);
+  auto fine = testing::EvaluateFacts<S>(
+      session, PlanKey::For<S>(Construction::kFiniteRpq), lanes, all_facts);
   ASSERT_TRUE(fine.ok()) << fine.error();
-  auto coarse = session.TagBatch<S>(
-      PlanKey::For<S>(Construction::kGrounded), lanes, all_facts);
+  auto coarse = testing::EvaluateFacts<S>(
+      session, PlanKey::For<S>(Construction::kGrounded), lanes, all_facts);
   ASSERT_TRUE(coarse.ok()) << coarse.error();
   for (size_t i = 0; i < all_facts.size(); ++i) {
     EXPECT_TRUE(ValuesAgree<S>(fine.value()[0][i], coarse.value()[0][i]))
@@ -325,14 +327,18 @@ TEST(ChainRouteTest, PlanCacheKeysFiniteAndGroundedSeparately) {
   Cfg cfg = MustCfg(kFiniteLeftLinear);
   TestGraph tg = MakeGraph(cfg, 6, 15, rng);
   Session session = MustSession(kFiniteLeftLinear, tg.csv);
-  auto a = session.Compile(PlanKey::For<BooleanSemiring>(Construction::kFiniteRpq));
-  auto b = session.Compile(PlanKey::For<BooleanSemiring>(Construction::kGrounded));
-  auto c = session.Compile(PlanKey::For<BooleanSemiring>(Construction::kFiniteRpq));
+  serve::PlanStore store;
+  auto a = store.GetOrCompile(
+      session, PlanKey::For<BooleanSemiring>(Construction::kFiniteRpq));
+  auto b = store.GetOrCompile(
+      session, PlanKey::For<BooleanSemiring>(Construction::kGrounded));
+  auto c = store.GetOrCompile(
+      session, PlanKey::For<BooleanSemiring>(Construction::kFiniteRpq));
   ASSERT_TRUE(a.ok() && b.ok() && c.ok());
   EXPECT_NE(a.value().get(), b.value().get());
-  EXPECT_EQ(a.value().get(), c.value().get());  // cache hit
-  EXPECT_EQ(session.stats().plan_cache_hits, 1u);
-  EXPECT_EQ(session.stats().plan_cache_misses, 2u);
+  EXPECT_EQ(a.value().get(), c.value().get());  // store hit
+  EXPECT_EQ(store.stats().hits, 1u);
+  EXPECT_EQ(store.stats().compiles, 2u);
 }
 
 TEST(ChainRouteTest, ChainPlansSnapshotRoundTrip) {
@@ -357,10 +363,11 @@ TEST(ChainRouteTest, ChainPlansSnapshotRoundTrip) {
     ASSERT_TRUE(compiled.ok()) << compiled.error();
     std::vector<std::vector<uint64_t>> lanes = {
         LaneFromEdges<TropicalSemiring>(session, edge_values)};
-    auto batch =
-        session.TagBatch<TropicalSemiring>(key, lanes, session.TargetFacts());
-    ASSERT_TRUE(batch.ok()) << batch.error();
-    (round == 0 ? cold_results : warm_results) = batch.value();
+    // Evaluated through the store's plan: compiled in round 0, loaded off
+    // the snapshot in round 1.
+    (round == 0 ? cold_results : warm_results) =
+        testing::EvaluateFacts<TropicalSemiring>(compiled.value()->plan, lanes,
+                                                 session.TargetFacts());
     loads = store.stats().snapshot_loads;
     saves = store.stats().snapshot_saves;
   }

@@ -195,49 +195,6 @@ TEST(DeltaTest, ShortCircuitStopsPropagationAtUnchangedMin) {
   EXPECT_EQ(eval::StateOutputs<TropicalSemiring>(plan, state)[0], 57u);
 }
 
-TYPED_TEST(DeltaSemiringTest, MaterializeBatchMatchesPerLaneMaterialize) {
-  using S = TypeParam;
-  Rng rng(515);
-  Evaluator full(EvalOptions{.num_threads = 1});
-  IncrementalEvaluator inc(full, DeltaOptions::For<S>());
-  Circuit c = RandomCircuit(rng, 6, 140);
-  EvalPlan plan = EvalPlan::Build(c);
-  std::vector<std::vector<typename S::Value>> lanes;
-  for (int b = 0; b < 5; ++b) lanes.push_back(RandomAssignment<S>(rng, 6));
-  // Budgets in rows: MaterializeBatch keeps every slot, so one lane holds
-  // num_slots() rows. One lane per tile gives 5 tiles, two lanes per tile
-  // leave a partial final tile (2 + 2 + 1), and the default takes one tile.
-  const size_t lane_bytes = plan.num_slots() * sizeof(eval::SlotValue<S>);
-  const std::pair<size_t, uint64_t> budgets[] = {
-      {lane_bytes, 5}, {2 * lane_bytes, 3}, {eval::kTileBudgetBytes, 1}};
-  for (const auto& [budget, tiles] : budgets) {
-    std::vector<EvalState<S>> states;
-    {
-      testing::SweepCounter counter;
-      states = inc.MaterializeBatch<S>(plan, lanes, budget);
-      EXPECT_EQ(counter.sweeps(), tiles) << "budget " << budget;
-    }
-    ASSERT_EQ(states.size(), lanes.size());
-    for (size_t b = 0; b < lanes.size(); ++b) {
-      EvalState<S> expected = inc.Materialize<S>(plan, lanes[b]);
-      ASSERT_EQ(states[b].slots.size(), expected.slots.size());
-      for (size_t s = 0; s < expected.slots.size(); ++s) {
-        EXPECT_TRUE(S::Eq(static_cast<typename S::Value>(states[b].slots[s]),
-                          static_cast<typename S::Value>(expected.slots[s])))
-            << "lane " << b << " slot " << s << " over " << S::Name();
-      }
-      // And the batched state serves updates exactly like a per-lane one.
-      auto state = states[b];
-      auto lane = lanes[b];
-      uint32_t var = static_cast<uint32_t>(rng.NextBounded(6));
-      lane[var] = S::RandomValue(rng);
-      inc.Update<S>(plan, &state, {{var, lane[var]}});
-      ExpectSameValues<S>(c.Evaluate<S>(lane),
-                          eval::StateOutputs<S>(plan, state), "post-batch");
-    }
-  }
-}
-
 TEST(DeltaTest, FrontierIsReusableAcrossPlans) {
   // The scratch frontier lives in the state, but a fresh state on a second
   // plan shape must not be confused by a stale tracker (sizes differ).

@@ -406,7 +406,7 @@ TEST(BatchTest, SweepInTilesSplitsLanesEvenly) {
     std::vector<uint64_t> buffer;
     std::vector<size_t> widths;
     size_t next = 0;
-    eval::SweepInTiles<TropicalSemiring, eval::RowMap::kCompact>(
+    eval::SweepInTiles<TropicalSemiring>(
         ev, plan, assigns, budget_lanes * lane_bytes, &buffer,
         [&](size_t start, size_t n, const std::vector<uint64_t>&) {
           EXPECT_EQ(start, next);

@@ -1,9 +1,10 @@
 // Tests for src/pipeline: Session results must match the hand-wired
 // examples/quickstart.cc path (ground -> construct -> optimize -> compile ->
-// batch-evaluate) across semirings, the plan cache must hit on repeated
-// taggings, and the text input formats (CFG grammars, graph CSV, tagging
-// CSV) must round-trip and reject malformed input. The CLI built on this
-// API has its own golden smoke tests registered from CMakeLists.txt.
+// batch-evaluate) across semirings, repeated requests must share one plan
+// through the PlanStore (Session::Compile itself caches nothing), and the
+// text input formats (CFG grammars, graph CSV, tagging CSV) must round-trip
+// and reject malformed input. The CLI built on this API has its own golden
+// smoke tests registered from CMakeLists.txt.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -22,7 +23,9 @@
 #include "src/pipeline/semiring_registry.h"
 #include "src/pipeline/session.h"
 #include "src/semiring/instances.h"
+#include "src/serve/plan_store.h"
 #include "src/util/rng.h"
+#include "tests/reference_eval.h"
 #include "tests/test_programs.h"
 
 namespace dlcirc {
@@ -57,7 +60,7 @@ std::vector<std::vector<typename S::Value>> RandomTaggings(Rng& rng,
   return out;
 }
 
-// The acceptance contract: Session::TagBatch agrees with the hand-wired
+// The acceptance contract: Session::Compile's plan agrees with the hand-wired
 // quickstart path (Ground -> GroundedProgramCircuit -> OptimizeForEval ->
 // EvalPlan::Build -> EvaluateBatch) AND with the engine fixpoint, per lane.
 template <Semiring S>
@@ -70,7 +73,8 @@ void ExpectSessionMatchesHandWired() {
   Result<uint32_t> fact = session.FindFact("T", {"s", "t"});
   ASSERT_TRUE(fact.ok()) << fact.error();
   ASSERT_NE(fact.value(), Session::kNotFound);
-  auto got = session.TagBatch<S>(PlanKey::For<S>(), taggings, {fact.value()});
+  auto got = testing::EvaluateFacts<S>(session, PlanKey::For<S>(), taggings,
+                                       {fact.value()});
   ASSERT_TRUE(got.ok()) << got.error();
 
   // Hand-wired path, exactly as examples/quickstart.cc composes the layers.
@@ -120,41 +124,43 @@ TEST(SessionParityTest, QuickstartGoldenValue) {
   std::vector<uint64_t> weights;
   for (uint32_t v = 0; v < session.db().num_facts(); ++v) weights.push_back(v + 1);
   uint32_t fact = session.FindFact("T", {"s", "t"}).value();
-  auto got = session.TagBatch<TropicalSemiring>(
-      PlanKey::For<TropicalSemiring>(), {weights}, {fact});
+  auto got = testing::EvaluateFacts<TropicalSemiring>(
+      session, PlanKey::For<TropicalSemiring>(), {weights}, {fact});
   ASSERT_TRUE(got.ok()) << got.error();
   EXPECT_EQ(got.value()[0][0], 10u);
 }
 
-TEST(SessionCacheTest, RepeatedTaggingsHitThePlanCache) {
+TEST(PlanSharingTest, RepeatedRequestsShareOnePlanThroughThePlanStore) {
   Session session = MakeFig1Session();
+  serve::PlanStore store;
   PlanKey key = PlanKey::For<TropicalSemiring>();
 
-  auto first = session.Compile(key);
+  auto first = store.GetOrCompile(session, key);
   ASSERT_TRUE(first.ok()) << first.error();
-  EXPECT_EQ(session.stats().plan_cache_misses, 1u);
-  EXPECT_EQ(session.stats().plan_cache_hits, 0u);
+  EXPECT_EQ(store.stats().compiles, 1u);
+  EXPECT_EQ(store.stats().hits, 0u);
 
-  auto second = session.Compile(key);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second.value().get(), first.value().get()) << "plan not shared";
-  EXPECT_EQ(session.stats().plan_cache_hits, 1u);
-
-  // The serving path: every TagBatch after the first compile is a hit.
-  std::vector<std::vector<uint64_t>> lane = {{1, 2, 3, 4, 5, 6, 7}};
-  uint32_t fact = session.FindFact("T", {"s", "t"}).value();
+  // The serving path: every request after the first compile is a hit on
+  // the one shared plan.
   for (int i = 0; i < 3; ++i) {
-    auto r = session.TagBatch<TropicalSemiring>(key, lane, {fact});
-    ASSERT_TRUE(r.ok());
+    auto again = store.GetOrCompile(session, key);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again.value().get(), first.value().get()) << "plan not shared";
   }
-  EXPECT_EQ(session.stats().plan_cache_hits, 4u);
-  EXPECT_EQ(session.stats().plan_cache_misses, 1u);
+  EXPECT_EQ(store.stats().hits, 3u);
+  EXPECT_EQ(store.stats().compiles, 1u);
+
+  // The store is the only cache: Session::Compile builds a fresh plan.
+  auto fresh = session.Compile(key);
+  ASSERT_TRUE(fresh.ok()) << fresh.error();
+  EXPECT_NE(fresh.value().get(), first.value().get());
 
   // A different construction is a different plan, compiled once.
-  auto uvg = session.Compile(PlanKey::For<TropicalSemiring>(Construction::kUvg));
+  auto uvg = store.GetOrCompile(
+      session, PlanKey::For<TropicalSemiring>(Construction::kUvg));
   ASSERT_TRUE(uvg.ok()) << uvg.error();
   EXPECT_NE(uvg.value().get(), first.value().get());
-  EXPECT_EQ(session.stats().plan_cache_misses, 2u);
+  EXPECT_EQ(store.stats().compiles, 2u);
 }
 
 TEST(SessionConstructionTest, UvgAgreesWithGroundedOnDyck) {
@@ -171,10 +177,11 @@ TEST(SessionConstructionTest, UvgAgreesWithGroundedOnDyck) {
       RandomTaggings<TropicalSemiring>(rng, session.db().num_facts(), 4);
   std::vector<uint32_t> facts = session.TargetFacts();
   ASSERT_FALSE(facts.empty());
-  auto grounded = session.TagBatch<TropicalSemiring>(
-      PlanKey::For<TropicalSemiring>(), taggings, facts);
-  auto uvg = session.TagBatch<TropicalSemiring>(
-      PlanKey::For<TropicalSemiring>(Construction::kUvg), taggings, facts);
+  auto grounded = testing::EvaluateFacts<TropicalSemiring>(
+      session, PlanKey::For<TropicalSemiring>(), taggings, facts);
+  auto uvg = testing::EvaluateFacts<TropicalSemiring>(
+      session, PlanKey::For<TropicalSemiring>(Construction::kUvg), taggings,
+      facts);
   ASSERT_TRUE(grounded.ok());
   ASSERT_TRUE(uvg.ok()) << uvg.error();
   for (size_t b = 0; b < taggings.size(); ++b) {
@@ -205,8 +212,8 @@ P(X,Z) :- E(X,Y), E(Y,Z).
   std::vector<std::vector<uint64_t>> lanes = {{1, 1, 1, 1}, {2, 3, 4, 5}};
   uint32_t fact = session.FindFact("P", {"a", "c"}).value();
   ASSERT_NE(fact, Session::kNotFound);
-  auto got = session.TagBatch<CountingSemiring>(
-      PlanKey::For<CountingSemiring>(), lanes, {fact});
+  auto got = testing::EvaluateFacts<CountingSemiring>(
+      session, PlanKey::For<CountingSemiring>(), lanes, {fact});
   ASSERT_TRUE(got.ok()) << got.error();
   // Two derivations a-b-c and a-d-c: 1*1 + 1*1 = 2 and 2*3 + 4*5 = 26.
   EXPECT_EQ(got.value()[0][0], 2u);
@@ -236,8 +243,10 @@ S -> S S
     std::string to = std::string(query).substr(3);
     uint32_t fa = a.FindFact("S", {from, to}).value();
     uint32_t fb = b.FindFact("S", {from, to}).value();
-    auto ra = a.TagBatch<BooleanSemiring>(PlanKey::For<BooleanSemiring>(), lane, {fa});
-    auto rb = b.TagBatch<BooleanSemiring>(PlanKey::For<BooleanSemiring>(), lane, {fb});
+    auto ra = testing::EvaluateFacts<BooleanSemiring>(
+        a, PlanKey::For<BooleanSemiring>(), lane, {fa});
+    auto rb = testing::EvaluateFacts<BooleanSemiring>(
+        b, PlanKey::For<BooleanSemiring>(), lane, {fb});
     ASSERT_TRUE(ra.ok() && rb.ok());
     EXPECT_EQ(ra.value()[0][0], rb.value()[0][0]) << "S(" << query << ")";
   }
@@ -309,91 +318,6 @@ TEST(SessionErrorTest, QueryAndLoadErrors) {
   // Unknown constants / non-derivable facts are not errors: provenance 0.
   EXPECT_EQ(session.FindFact("T", {"s", "nowhere"}).value(), Session::kNotFound);
   EXPECT_EQ(session.FindFact("T", {"t", "s"}).value(), Session::kNotFound);
-
-  std::vector<std::vector<uint64_t>> short_lane = {{1, 2, 3}};
-  uint32_t fact = session.FindFact("T", {"s", "t"}).value();
-  EXPECT_FALSE(session
-                   .TagBatch<TropicalSemiring>(PlanKey::For<TropicalSemiring>(),
-                                               short_lane, {fact})
-                   .ok());
-
-  // kNotFound facts evaluate to Zero.
-  auto r = session.TagBatch<TropicalSemiring>(
-      PlanKey::For<TropicalSemiring>(),
-      {std::vector<uint64_t>(session.db().num_facts(), 1)},
-      {Session::kNotFound});
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value()[0][0], TropicalSemiring::kInf);
-}
-
-TEST(SessionServeTest, ServeTagsMatchesTagBatchAndUpdatesMatchRecompute) {
-  Session session = MakeFig1Session();
-  PlanKey key = PlanKey::For<TropicalSemiring>();
-  Rng rng(23);
-  auto taggings =
-      RandomTaggings<TropicalSemiring>(rng, session.db().num_facts(), 3);
-  uint32_t fact = session.FindFact("T", {"s", "t"}).value();
-  // kNotFound facts must serve Zero, exactly as TagBatch does.
-  std::vector<uint32_t> facts = {fact, Session::kNotFound};
-
-  auto served = session.ServeTags<TropicalSemiring>(key, taggings, facts);
-  auto batch = session.TagBatch<TropicalSemiring>(key, taggings, facts);
-  ASSERT_TRUE(served.ok()) << served.error();
-  ASSERT_TRUE(batch.ok()) << batch.error();
-  for (size_t b = 0; b < taggings.size(); ++b) {
-    for (size_t i = 0; i < facts.size(); ++i) {
-      EXPECT_EQ(served.value()[b][i], batch.value()[b][i])
-          << "lane " << b << " fact " << i;
-    }
-  }
-  EXPECT_TRUE(session.has_served_batch<TropicalSemiring>());
-  EXPECT_FALSE(session.has_served_batch<BooleanSemiring>());
-
-  // Random sparse deltas against random lanes: every incremental refresh
-  // must equal a cold TagBatch recompute of the mutated lane.
-  for (int step = 0; step < 8; ++step) {
-    size_t lane = rng.NextBounded(taggings.size());
-    eval::TagDelta<TropicalSemiring> delta;
-    for (size_t k = 0, n = 1 + rng.NextBounded(2); k < n; ++k) {
-      uint32_t var = static_cast<uint32_t>(
-          rng.NextBounded(session.db().num_facts()));
-      uint64_t v = TropicalSemiring::RandomValue(rng);
-      taggings[lane][var] = v;
-      delta.push_back({var, v});
-    }
-    auto got = session.UpdateTags<TropicalSemiring>(lane, delta);
-    ASSERT_TRUE(got.ok()) << got.error();
-    auto expect =
-        session.TagBatch<TropicalSemiring>(key, {taggings[lane]}, facts);
-    ASSERT_TRUE(expect.ok());
-    for (size_t i = 0; i < facts.size(); ++i) {
-      EXPECT_EQ(got.value()[i], expect.value()[0][i])
-          << "step " << step << " fact " << i;
-    }
-  }
-  EXPECT_EQ(session.stats().incremental_updates, 8u);
-}
-
-TEST(SessionServeTest, UpdateTagsErrors) {
-  Session session = MakeFig1Session();
-  // No served batch yet.
-  EXPECT_FALSE(
-      session.UpdateTags<TropicalSemiring>(0, {{0, uint64_t{1}}}).ok());
-
-  PlanKey key = PlanKey::For<TropicalSemiring>();
-  std::vector<std::vector<uint64_t>> lanes = {{1, 2, 3, 4, 5, 6, 7}};
-  uint32_t fact = session.FindFact("T", {"s", "t"}).value();
-  ASSERT_TRUE(session.ServeTags<TropicalSemiring>(key, lanes, {fact}).ok());
-  // Wrong semiring for the live batch.
-  EXPECT_FALSE(session.UpdateTags<BooleanSemiring>(0, {{0, true}}).ok());
-  // Lane and variable out of range.
-  EXPECT_FALSE(
-      session.UpdateTags<TropicalSemiring>(1, {{0, uint64_t{1}}}).ok());
-  EXPECT_FALSE(
-      session.UpdateTags<TropicalSemiring>(0, {{99, uint64_t{1}}}).ok());
-  // Short tagging lanes are rejected before anything is served.
-  EXPECT_FALSE(
-      session.ServeTags<TropicalSemiring>(key, {{1, 2, 3}}, {fact}).ok());
 }
 
 // Collision sanity for the plan-cache hash. The pre-fix hash combined

@@ -29,7 +29,9 @@
 #include "src/pipeline/semiring_registry.h"
 #include "src/pipeline/session.h"
 #include "src/semiring/instances.h"
+#include "src/serve/plan_store.h"
 #include "src/util/rng.h"
+#include "tests/reference_eval.h"
 #include "tests/test_programs.h"
 
 namespace dlcirc {
@@ -149,8 +151,8 @@ void CheckRoutesMatchGrounded(Session& session, uint64_t seed) {
   }
   ASSERT_FALSE(all_facts.empty());
 
-  auto oracle = session.TagBatch<S>(PlanKey::For<S>(Construction::kGrounded),
-                                    lanes, all_facts);
+  auto oracle = testing::EvaluateFacts<S>(
+      session, PlanKey::For<S>(Construction::kGrounded), lanes, all_facts);
   ASSERT_TRUE(oracle.ok()) << oracle.error();
 
   RouteDecision decision = session.PlanConstruction(SemiringTraits::For<S>());
@@ -163,9 +165,8 @@ void CheckRoutesMatchGrounded(Session& session, uint64_t seed) {
     }
     if (!cand.applicable) continue;
     SCOPED_TRACE("route " + std::string(ConstructionName(cand.construction)));
-    auto got =
-        session.TagBatch<S>(PlanKey::For<S>(cand.construction), lanes,
-                            all_facts);
+    auto got = testing::EvaluateFacts<S>(
+        session, PlanKey::For<S>(cand.construction), lanes, all_facts);
     ASSERT_TRUE(got.ok()) << got.error();
     for (size_t b = 0; b < lanes.size(); ++b) {
       for (size_t i = 0; i < all_facts.size(); ++i) {
@@ -509,28 +510,32 @@ TEST(PlanKeyNormalizationTest, TimesIdempotentIsKeyedForBoundedOnly) {
 }
 
 TEST(PlanKeyNormalizationTest, BoundedPlansSplitByTimesIdempotence) {
-  // The same session must hold distinct compiled plans for a chain-exact
-  // bounded program under Fuzzy vs TropicalZ (different caps could apply),
-  // while grounded plans stay shared.
+  // One PlanStore over one session must hold distinct compiled plans for a
+  // chain-exact bounded program under Fuzzy vs TropicalZ (different caps
+  // could apply), while grounded plans stay shared.
   Rng rng(BaseSeed());
   Session session =
       MustSession(testing::kFiniteChainText, TwoLabelFacts(5, 10, rng));
-  auto fuzzy =
-      session.Compile(PlanKey::For<FuzzySemiring>(Construction::kBounded));
+  serve::PlanStore store;
+  auto fuzzy = store.GetOrCompile(
+      session, PlanKey::For<FuzzySemiring>(Construction::kBounded));
   ASSERT_TRUE(fuzzy.ok()) << fuzzy.error();
-  auto tz =
-      session.Compile(PlanKey::For<TropicalZSemiring>(Construction::kBounded));
+  auto tz = store.GetOrCompile(
+      session, PlanKey::For<TropicalZSemiring>(Construction::kBounded));
   ASSERT_TRUE(tz.ok()) << tz.error();
-  EXPECT_EQ(session.stats().plan_cache_misses, 2u);
+  EXPECT_NE(fuzzy.value().get(), tz.value().get());
+  EXPECT_EQ(store.stats().compiles, 2u);
 
-  auto g1 =
-      session.Compile(PlanKey::For<FuzzySemiring>(Construction::kGrounded));
-  auto g2 = session.Compile(
-      PlanKey::For<LukasiewiczSemiring>(Construction::kGrounded));
+  auto g1 = store.GetOrCompile(
+      session, PlanKey::For<FuzzySemiring>(Construction::kGrounded));
+  auto g2 = store.GetOrCompile(
+      session, PlanKey::For<LukasiewiczSemiring>(Construction::kGrounded));
   ASSERT_TRUE(g1.ok());
   ASSERT_TRUE(g2.ok());
   EXPECT_EQ(g1.value().get(), g2.value().get())
       << "grounded plan sharing regressed";
+  EXPECT_EQ(store.stats().compiles, 3u);
+  EXPECT_EQ(store.stats().hits, 1u);
 }
 
 }  // namespace

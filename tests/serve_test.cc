@@ -1,10 +1,12 @@
 // Tests for src/serve: snapshot round-trips must be bit-exact against the
 // fresh compile (structure and outputs, differential-checked across
-// semirings), the PlanStore must share/compile-once/warm-start correctly,
-// the Server must serve inline evals, lanes, and updates with values that
-// match the Session's own serving path, coalescing must actually batch, and
-// the wire JSON must parse/escape correctly. The concurrency stress test
-// lives in serve_stress_test.cc.
+// semirings), the PlanStore must share/compile-once/warm-start correctly and
+// free what it evicts, the Server must serve inline evals, lanes, and
+// updates with values that match a plain batch evaluation
+// (tests/reference_eval.h), coalescing must actually batch, and the wire
+// JSON must parse/escape correctly. No test calls a Session while a Server
+// compiles through it: references come first or from a second Session. The
+// concurrency stress test lives in serve_stress_test.cc.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -29,6 +31,7 @@
 #include "src/serve/snapshot.h"
 #include "src/serve/wire.h"
 #include "src/util/rng.h"
+#include "tests/reference_eval.h"
 #include "tests/test_programs.h"
 
 namespace dlcirc {
@@ -403,18 +406,14 @@ TEST(PlanStoreTest, WarmStartsFromSnapshotDirWithIdenticalOutputs) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(warm_store.stats().compiles, 0u);
   EXPECT_EQ(warm_store.stats().snapshot_loads, 1u);
-  // ...the session adopts the loaded plan (no recompilation on TagBatch)...
-  EXPECT_EQ(warm.stats().plan_cache_misses, 0u);
-  // ...and serving through it matches the cold path.
+  // ...and evaluating through the loaded plan matches the compiled one.
   Rng rng(7);
   auto tags = RandomTagging<TropicalSemiring>(rng, warm.db().num_facts());
   auto facts = warm.TargetFacts();
-  auto cold_out = cold.TagBatch<TropicalSemiring>(key, {tags}, facts);
-  auto warm_out = warm.TagBatch<TropicalSemiring>(key, {tags}, facts);
-  ASSERT_TRUE(cold_out.ok());
-  ASSERT_TRUE(warm_out.ok());
-  EXPECT_EQ(cold_out.value(), warm_out.value());
-  EXPECT_EQ(warm.stats().plan_cache_hits, 1u);
+  EXPECT_EQ(testing::EvaluateFacts<TropicalSemiring>(compiled.value()->plan,
+                                                     {tags}, facts),
+            testing::EvaluateFacts<TropicalSemiring>(loaded.value()->plan,
+                                                     {tags}, facts));
   std::filesystem::remove_all(dir);
 }
 
@@ -431,7 +430,13 @@ TEST(PlanStoreTest, EvictsColdPlansToSnapshotDirAndReloadsThem) {
   PlanKey counting = PlanKey::For<CountingSemiring>();
 
   // First plan compiles, saves, and stays resident (1 <= cap).
-  ASSERT_TRUE(store.GetOrCompile(session, tropical).ok());
+  std::weak_ptr<const pipeline::CompiledPlan> first;
+  {
+    auto compiled = store.GetOrCompile(session, tropical);
+    ASSERT_TRUE(compiled.ok()) << compiled.error();
+    first = compiled.value();
+  }
+  EXPECT_FALSE(first.expired());
   EXPECT_EQ(store.stats().resident, 1u);
   EXPECT_EQ(store.stats().evictions, 0u);
 
@@ -444,6 +449,10 @@ TEST(PlanStoreTest, EvictsColdPlansToSnapshotDirAndReloadsThem) {
   EXPECT_EQ(after_evict.evictions, 1u);
   EXPECT_EQ(after_evict.compiles, 2u);
   EXPECT_EQ(after_evict.snapshot_saves, 2u);
+  // The store was the evicted plan's only owner, so eviction freed it.
+  EXPECT_TRUE(first.expired())
+      << "evicted plan still referenced (use_count " << first.use_count()
+      << ")";
 
   // Touching the evicted plan again is a snapshot load, not a recompile.
   auto reloaded = store.GetOrCompile(session, tropical);
@@ -500,12 +509,25 @@ serve::ServeRequest EvalRequest(const std::string& semiring,
   return req;
 }
 
-TEST(ServerTest, InlineEvalsMatchSessionTagBatch) {
+TEST(ServerTest, InlineEvalsMatchReferenceEvaluation) {
   Session session = MakeFig1Session();
+  std::vector<uint32_t> facts = session.TargetFacts();
+  // References first: once the server runs, only it calls the Session.
+  std::vector<std::vector<uint64_t>> taggings = {
+      {1, 2, 3, 4, 5, 6, 7},
+      {1, 1, 1, 1, 1, 1, 1},
+      {TropicalSemiring::Zero(), 2, 3, 4, 5, 6, 7}};
+  auto expected = testing::EvaluateFacts<TropicalSemiring>(
+      session, PlanKey::For<TropicalSemiring>(), taggings, facts);
+  ASSERT_TRUE(expected.ok()) << expected.error();
+  std::vector<std::vector<bool>> bool_lane = {
+      {false, true, true, true, true, true, true}};
+  auto expected_b = testing::EvaluateFacts<BooleanSemiring>(
+      session, PlanKey::For<BooleanSemiring>(), bool_lane, facts);
+  ASSERT_TRUE(expected_b.ok()) << expected_b.error();
+
   serve::PlanStore store;
   serve::Server server(session, store);
-  std::vector<uint32_t> facts = session.TargetFacts();
-
   // Tropical: the three fig1 lanes with the known answers 10 / 3 / 14.
   std::vector<std::vector<std::string>> lanes = {
       {"1", "2", "3", "4", "5", "6", "7"},
@@ -515,14 +537,6 @@ TEST(ServerTest, InlineEvalsMatchSessionTagBatch) {
   for (const auto& lane : lanes) {
     futures.push_back(server.Submit(EvalRequest("tropical", lane, facts)));
   }
-  // Independently through the session's own serving path.
-  std::vector<std::vector<uint64_t>> taggings = {
-      {1, 2, 3, 4, 5, 6, 7},
-      {1, 1, 1, 1, 1, 1, 1},
-      {TropicalSemiring::Zero(), 2, 3, 4, 5, 6, 7}};
-  auto expected = session.TagBatch<TropicalSemiring>(
-      PlanKey::For<TropicalSemiring>(), taggings, facts);
-  ASSERT_TRUE(expected.ok());
   for (size_t lane = 0; lane < lanes.size(); ++lane) {
     serve::ServeResponse r = futures[lane].get();
     ASSERT_TRUE(r.ok) << r.error;
@@ -541,11 +555,6 @@ TEST(ServerTest, InlineEvalsMatchSessionTagBatch) {
   serve::ServeResponse rb =
       server.Submit(EvalRequest("boolean", bool_tags, facts)).get();
   ASSERT_TRUE(rb.ok) << rb.error;
-  std::vector<std::vector<bool>> bool_lane = {
-      {false, true, true, true, true, true, true}};
-  auto expected_b = session.TagBatch<BooleanSemiring>(
-      PlanKey::For<BooleanSemiring>(), bool_lane, facts);
-  ASSERT_TRUE(expected_b.ok());
   for (size_t i = 0; i < facts.size(); ++i) {
     EXPECT_EQ(rb.values[i], pipeline::FormatSemiringValue<BooleanSemiring>(
                                 expected_b.value()[0][i]));
@@ -559,6 +568,9 @@ TEST(ServerTest, RoutesChannelsPerConstructionAndReportsThem) {
   // on the right plan and each response reporting its channel's
   // construction.
   Session session = MakeFig1Session();
+  // References come from a second session: the server compiles through
+  // the first.
+  Session reference = MakeFig1Session();
   serve::PlanStore store;
   serve::Server server(session, store);
   std::vector<uint32_t> facts = session.TargetFacts();
@@ -585,8 +597,8 @@ TEST(ServerTest, RoutesChannelsPerConstructionAndReportsThem) {
     serve::ServeResponse r = futures[i].get();
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_EQ(r.construction, pipeline::ConstructionName(routes[i]));
-    auto expected = session.TagBatch<TropicalSemiring>(
-        PlanKey::For<TropicalSemiring>(routes[i]), lane, facts);
+    auto expected = testing::EvaluateFacts<TropicalSemiring>(
+        reference, PlanKey::For<TropicalSemiring>(routes[i]), lane, facts);
     ASSERT_TRUE(expected.ok()) << expected.error();
     ASSERT_EQ(r.values.size(), facts.size());
     for (size_t j = 0; j < facts.size(); ++j) {
@@ -664,6 +676,123 @@ TEST(ServerTest, LanesMaterializeUpdateAndDrop) {
   r = server.Submit(read).get();
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("unknown lane"), std::string::npos);
+}
+
+TEST(ServerTest, LaneUpdatesMatchColdEvaluation) {
+  // Three random lanes and eight random sparse updates against them: every
+  // refreshed value must equal a cold evaluation of the mutated tagging,
+  // and a fact with no derivation must answer Zero. Cold values come from
+  // a second session's plan.
+  Session session = MakeFig1Session();
+  Session reference = MakeFig1Session();
+  auto reference_plan = reference.Compile(PlanKey::For<TropicalSemiring>());
+  ASSERT_TRUE(reference_plan.ok()) << reference_plan.error();
+  serve::PlanStore store;
+  serve::Server server(session, store);
+  const uint32_t num_facts = session.db().num_facts();
+  const std::vector<uint32_t> facts = {
+      session.FindFact("T", {"s", "t"}).value(), Session::kNotFound};
+
+  auto expect_cold = [&](const std::vector<uint64_t>& tagging,
+                         const serve::ServeResponse& r,
+                         const std::string& what) {
+    ASSERT_TRUE(r.ok) << what << ": " << r.error;
+    auto cold = testing::EvaluateFacts<TropicalSemiring>(
+        reference_plan.value()->plan, {tagging}, facts);
+    ASSERT_EQ(r.values.size(), facts.size()) << what;
+    for (size_t i = 0; i < facts.size(); ++i) {
+      EXPECT_EQ(r.values[i],
+                pipeline::FormatSemiringValue<TropicalSemiring>(cold[0][i]))
+          << what << " fact " << i;
+    }
+    EXPECT_EQ(r.values[1], "inf") << what << ": kNotFound must read Zero";
+  };
+  auto render = [](uint64_t v) {
+    return pipeline::FormatSemiringValue<TropicalSemiring>(v);
+  };
+
+  Rng rng(23);
+  std::vector<std::vector<uint64_t>> taggings(3);
+  for (size_t lane = 0; lane < taggings.size(); ++lane) {
+    taggings[lane] = RandomTagging<TropicalSemiring>(rng, num_facts);
+    serve::ServeRequest make;
+    make.kind = serve::ServeRequest::Kind::kMakeLane;
+    make.semiring = "tropical";
+    make.lane = "lane" + std::to_string(lane);
+    for (uint64_t v : taggings[lane]) make.tags.push_back(render(v));
+    make.facts = facts;
+    expect_cold(taggings[lane], server.Submit(make).get(),
+                "make " + make.lane);
+  }
+  for (int step = 0; step < 8; ++step) {
+    const size_t lane = rng.NextBounded(taggings.size());
+    serve::ServeRequest update;
+    update.kind = serve::ServeRequest::Kind::kUpdate;
+    update.semiring = "tropical";
+    update.lane = "lane" + std::to_string(lane);
+    update.facts = facts;
+    for (size_t k = 0, n = 1 + rng.NextBounded(2); k < n; ++k) {
+      const auto var = static_cast<uint32_t>(rng.NextBounded(num_facts));
+      const uint64_t v = TropicalSemiring::RandomValue(rng);
+      taggings[lane][var] = v;
+      update.delta.emplace_back(var, render(v));
+    }
+    expect_cold(taggings[lane], server.Submit(update).get(),
+                "step " + std::to_string(step));
+  }
+  EXPECT_EQ(server.stats().updates, 8u);
+}
+
+TEST(ServerTest, LaneUpdateErrors) {
+  Session session = MakeFig1Session();
+  serve::PlanStore store;
+  serve::Server server(session, store);
+  std::vector<uint32_t> facts = {session.FindFact("T", {"s", "t"}).value()};
+
+  serve::ServeRequest update;
+  update.kind = serve::ServeRequest::Kind::kUpdate;
+  update.semiring = "tropical";
+  update.lane = "alice";
+  update.delta = {{0, "1"}};
+  update.facts = facts;
+  // No lane to update yet.
+  serve::ServeResponse r = server.Submit(update).get();
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("unknown lane `alice`"), std::string::npos)
+      << r.error;
+
+  serve::ServeRequest make;
+  make.kind = serve::ServeRequest::Kind::kMakeLane;
+  make.semiring = "tropical";
+  make.lane = "alice";
+  make.tags = {"1", "2", "3", "4", "5", "6", "7"};
+  make.facts = facts;
+  ASSERT_TRUE(server.Submit(make).get().ok);
+
+  // Lanes live per channel: the name is unknown under another semiring.
+  serve::ServeRequest other = update;
+  other.semiring = "boolean";
+  other.delta = {{0, "true"}};
+  r = server.Submit(other).get();
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("unknown lane"), std::string::npos) << r.error;
+
+  // An EDB variable past the last fact is rejected, lane untouched.
+  serve::ServeRequest out_of_range = update;
+  out_of_range.delta = {{99, "1"}};
+  r = server.Submit(out_of_range).get();
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("EDB variable x99"), std::string::npos) << r.error;
+
+  serve::ServeRequest read;
+  read.kind = serve::ServeRequest::Kind::kEval;
+  read.semiring = "tropical";
+  read.lane = "alice";
+  read.facts = facts;
+  r = server.Submit(read).get();
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.epoch, 1u);
+  EXPECT_EQ(r.values[0], "10");
 }
 
 TEST(ServerTest, ErrorsAreRecoverableAndDoNotPoisonTheQueue) {

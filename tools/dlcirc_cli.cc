@@ -1,8 +1,12 @@
-// dlcirc — command-line front door over src/pipeline/Session.
+// dlcirc — command-line front door over src/pipeline (the Session compiler)
+// and src/serve (the PlanStore and the request broker).
 //
 // One command reproduces the paper's whole flow: program + EDB -> grounding
 // -> provenance circuit -> optimizer passes -> compiled EvalPlan -> batched
-// semiring taggings. Examples:
+// semiring taggings. `run` and `explain` are clients of the broker: they
+// queue their batch (inline evals, or named lanes plus updates) and their
+// explains on an in-process serve::Server, so they print exactly what
+// `dlcirc serve` would answer. Examples:
 //
 //   dlcirc run --program tc.dl --facts fig1.facts --semiring tropical
 //              --batch fig1.tags.csv --query "T(s,t)"
@@ -49,8 +53,6 @@
 #include "src/analysis/lint.h"
 #include "src/analysis/verify.h"
 #include "src/datalog/parser.h"
-#include "src/eval/evaluator.h"
-#include "src/explain/explain.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/pipeline/io.h"
@@ -61,6 +63,7 @@
 #include "src/serve/server.h"
 #include "src/serve/snapshot.h"
 #include "src/serve/wire.h"
+#include "src/util/json.h"
 
 namespace dlcirc {
 namespace {
@@ -279,30 +282,22 @@ std::string CsvField(const std::string& s) {
   return out;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-/// One parsed --updates line: an atomic sparse delta against one lane.
-template <Semiring S>
+/// One parsed --updates line: an atomic sparse delta against one lane. The
+/// values stay text: the Server parses them, as it does wire requests.
 struct UpdateStep {
   int line = 0;
   size_t lane = 0;
-  eval::TagDelta<S> delta;
+  std::vector<std::pair<uint32_t, std::string>> delta;
 };
 
 /// Parses the --updates CSV: `lane,var,value[,var,value]...` per line, vars
-/// as plain indices or `xN` (the --show-facts rendering).
+/// as plain indices or `xN` (the --show-facts rendering). Values are checked
+/// against S up front, so a malformed line fails before anything is served.
 template <Semiring S>
-Result<std::vector<UpdateStep<S>>> ParseUpdatesCsv(std::string_view text,
-                                                   size_t num_lanes,
-                                                   uint32_t num_facts) {
-  using Steps = std::vector<UpdateStep<S>>;
+Result<std::vector<UpdateStep>> ParseUpdatesCsv(std::string_view text,
+                                                size_t num_lanes,
+                                                uint32_t num_facts) {
+  using Steps = std::vector<UpdateStep>;
   auto fail = [](int line, const std::string& what) {
     return Result<Steps>::Error("updates line " + std::to_string(line) + ": " +
                                 what);
@@ -331,7 +326,7 @@ Result<std::vector<UpdateStep<S>>> ParseUpdatesCsv(std::string_view text,
     if (fields.size() < 3 || fields.size() % 2 == 0) {
       return fail(number, "expected lane,var,value[,var,value]...");
     }
-    UpdateStep<S> step;
+    UpdateStep step;
     step.line = number;
     uint32_t lane = 0;
     if (!parse_index(fields[0], static_cast<uint32_t>(num_lanes),
@@ -348,71 +343,40 @@ Result<std::vector<UpdateStep<S>>> ParseUpdatesCsv(std::string_view text,
       }
       Result<typename S::Value> v = pipeline::ParseSemiringValue<S>(fields[i + 1]);
       if (!v.ok()) return fail(number, v.error());
-      step.delta.push_back({var, std::move(v).value()});
+      step.delta.emplace_back(var, fields[i + 1]);
     }
     steps.push_back(std::move(step));
   }
   return steps;
 }
 
-/// Renders one provenance explanation (the src/explain JSON object) for
-/// `fact` against an evaluated slot vector — the CLI twin of the serve
-/// broker's ExplainJson, sharing the mode vocabulary and renderers so
-/// `dlcirc explain`, `run --explain-fact`, and the serve `explain` op emit
-/// byte-identical objects for the same state.
-template <Semiring S>
-Result<std::string> ExplainLine(const pipeline::CompiledPlan& plan,
-                                const std::vector<eval::SlotValue<S>>& slots,
-                                const std::vector<typename S::Value>& assignment,
-                                uint32_t fact, const std::string& name,
-                                const std::string& mode,
-                                const explain::ExplainLimits& limits,
-                                const std::vector<std::string>& var_names) {
-  using Out = Result<std::string>;
-  if (mode.empty() || mode == "proofs") {
-    auto r = explain::TopKProofs<S>(plan.plan, fact, slots, limits);
-    if (!r.ok()) return Out::Error(r.error());
-    return Out(explain::RenderTopKJson<S>(r.value(), limits, name, var_names,
-                                          assignment));
-  }
-  if (mode == "why" || mode == "sorp") {
-    const bool times_idem = mode == "why";
-    auto r = explain::WhyProvenance(plan.plan, fact, times_idem,
-                                    limits.max_trees);
-    if (!r.ok()) return Out::Error(r.error());
-    const std::string value = pipeline::FormatSemiringValue<S>(
-        static_cast<typename S::Value>(slots[plan.plan.output_slots()[fact]]));
-    return Out(explain::RenderWhyJson(r.value(), times_idem, limits.max_trees,
-                                      name, value, var_names));
-  }
-  if (mode == "formula") {
-    auto r = explain::ExplainFormula<S>(plan.circuit, fact, assignment, limits);
-    if (!r.ok()) return Out::Error(r.error());
-    return Out(explain::RenderFormulaJson<S>(r.value(), name));
-  }
-  return Out::Error("unknown explain mode `" + mode +
-                    "` (want proofs, why, sorp, or formula)");
-}
-
+/// `dlcirc run` and `dlcirc explain`: a client of an in-process
+/// serve::Server over one PlanStore, so the values printed here come from the
+/// same code `dlcirc serve` answers with. The whole run is queued on a paused
+/// server and served as one burst, which keeps the plan-cache counts it
+/// reports deterministic.
 template <Semiring S>
 int RunTyped(const Args& args, Session& session) {
   const uint32_t num_facts = session.db().num_facts();
 
-  // Tagging lanes: the batch file, or one unit lane (every fact tagged 1).
-  std::vector<std::vector<typename S::Value>> taggings;
+  // Tagging lanes: the batch file's value fields (checked against S here,
+  // parsed by the Server), or one unit lane (no tags = every fact tagged 1).
+  std::vector<std::vector<std::string>> taggings;
   if (!args.batch_file.empty()) {
     std::string text, error;
     if (!ReadFile(args.batch_file, &text, &error)) return Fail(error);
     auto lanes = pipeline::ParseTagCsv<S>(text, num_facts);
     if (!lanes.ok()) return Fail(args.batch_file + ": " + lanes.error());
-    taggings = std::move(lanes).value();
+    for (const auto& [number, line] :
+         pipeline::internal::SignificantLines(text)) {
+      taggings.push_back(pipeline::internal::SplitCsvLine(line));
+    }
   } else {
-    taggings.push_back(
-        std::vector<typename S::Value>(num_facts, S::One()));
+    taggings.emplace_back();
   }
 
   // Delta stream: parsed up front so malformed lines fail before serving.
-  std::vector<UpdateStep<S>> updates;
+  std::vector<UpdateStep> updates;
   if (!args.updates_file.empty()) {
     std::string text, error;
     if (!ReadFile(args.updates_file, &text, &error)) return Fail(error);
@@ -447,9 +411,9 @@ int RunTyped(const Args& args, Session& session) {
   }
 
   // Compile explicitly so the narration can show plan provenance; the
-  // TagBatch right after hits the plan cache. With --grammar the
-  // construction comes from the dichotomy planner (finite language + plus-
-  // idempotent semiring -> finite-rpq, else grounded), not the flag; with
+  // Server's burst then hits the store. With --grammar the construction
+  // comes from the dichotomy planner (finite language + plus-idempotent
+  // semiring -> finite-rpq, else grounded), not the flag; with
   // --construction auto it comes from the cost-based planner. --explain
   // renders the planner's plan tree even when the construction is forced,
   // so a forced run still documents what the planner would have picked.
@@ -464,23 +428,18 @@ int RunTyped(const Args& args, Session& session) {
           : pipeline::ParseConstruction(args.construction);
   if (!construction.ok()) return Fail(construction.error());
   pipeline::PlanKey key = pipeline::PlanKey::For<S>(construction.value());
-  // With a snapshot directory the compile goes through a PlanStore, which
-  // warm-starts off disk when a valid snapshot exists and persists fresh
-  // compiles; the loaded plan is adopted into the session's cache, so the
-  // TagBatch/ServeTags below never recompile either way.
-  auto compiled = [&] {
-    if (args.snapshot_dir.empty()) return session.Compile(key);
-    serve::PlanStore store(args.snapshot_dir);
-    return store.GetOrCompile(session, key);
-  }();
+  // With a snapshot directory the store warm-starts off disk when a valid
+  // snapshot exists and persists fresh compiles.
+  serve::PlanStore store(args.snapshot_dir);
+  auto compiled = store.GetOrCompile(session, key);
   if (!compiled.ok()) return Fail(compiled.error());
   const pipeline::CompiledPlan& plan = *compiled.value();
 
   // Provenance explanations (src/explain): `dlcirc explain` prints only
-  // these, `run --explain-fact` appends them to the normal output. Each lane
-  // gets its own evaluated slot vector (the proof weights are read bitwise
-  // from it, so the top-1 weight always equals the reported value) and one
-  // rendered JSON object — the same renderers the serve `explain` op uses.
+  // these, `run --explain-fact` appends them to the normal output. One
+  // inline explain per lane, evaluated on the spot — the proof weights are
+  // read bitwise from that evaluation, so the top-1 weight always equals the
+  // reported value.
   const std::string explain_query =
       !args.explain_fact.empty()
           ? args.explain_fact
@@ -491,7 +450,7 @@ int RunTyped(const Args& args, Session& session) {
         "dlcirc explain needs --explain-fact \"Pred(c1,...,ck)\" "
         "(or exactly one --query)");
   }
-  std::vector<std::string> explanations;  // one JSON object per lane
+  std::optional<uint32_t> explain_fact;
   if (!explain_query.empty()) {
     std::string pred;
     std::vector<std::string> constants;
@@ -503,66 +462,85 @@ int RunTyped(const Args& args, Session& session) {
     if (!fact.ok()) {
       return Fail("--explain-fact `" + explain_query + "`: " + fact.error());
     }
-    if (fact.value() == pipeline::Session::kNotFound) {
-      // Not derivable: the zero polynomial — no proofs, no monomials
-      // (byte-identical to the serve broker's answer).
-      explanations.assign(
-          taggings.size(),
-          "{\"mode\":\"" + explain::internal::JsonEscape(args.explain_mode) +
-              "\",\"fact\":\"" + explain::internal::JsonEscape(explain_query) +
-              "\",\"value\":\"" +
-              explain::internal::JsonEscape(
-                  pipeline::FormatSemiringValue<S>(S::Zero())) +
-              "\",\"truncated\":false,\"proofs\":[],\"monomials\":[]}");
+    explain_fact = fact.value();
+  }
+
+  // The run as requests, in order: one explain per lane, then the batch —
+  // inline evals, or (with a delta stream) one named lane per tagging plus
+  // the updates against them.
+  using Kind = serve::ServeRequest::Kind;
+  std::vector<serve::ServeRequest> requests;
+  auto add = [&](Kind kind, const std::vector<std::string>& tags) {
+    serve::ServeRequest& r = requests.emplace_back();
+    r.kind = kind;
+    r.semiring = args.semiring;
+    r.construction = key.construction;
+    r.tags = tags;
+    r.facts = facts;
+    return &r;
+  };
+  if (explain_fact.has_value()) {
+    for (const std::vector<std::string>& tags : taggings) {
+      serve::ServeRequest* r = add(Kind::kExplain, tags);
+      r->facts = {*explain_fact};
+      r->explain_mode = args.explain_mode;
+      r->explain_k = static_cast<uint32_t>(args.topk);
+      r->explain_max_trees = static_cast<uint64_t>(args.max_trees);
+      r->explain_fact_name = explain_query;
+    }
+  }
+  const size_t num_explains = requests.size();
+  if (!args.explain_only) {
+    for (size_t b = 0; b < taggings.size(); ++b) {
+      if (updates.empty()) {
+        add(Kind::kEval, taggings[b]);
+      } else {
+        add(Kind::kMakeLane, taggings[b])->lane = std::to_string(b);
+      }
+    }
+    for (const UpdateStep& u : updates) {
+      serve::ServeRequest* r = add(Kind::kUpdate, {});
+      r->lane = std::to_string(u.lane);
+      r->delta = u.delta;
+    }
+  }
+
+  serve::ServerOptions options;
+  options.queue_capacity = options.max_coalesce = requests.size();
+  options.eval.num_threads = ResolveThreads(args);
+  options.paused = true;
+  serve::Server server(session, store, options);
+  std::vector<std::future<serve::ServeResponse>> futures;
+  futures.reserve(requests.size());
+  for (serve::ServeRequest& r : requests) {
+    futures.push_back(server.Submit(std::move(r)));
+  }
+  server.Resume();
+  const size_t first_update = num_explains + taggings.size();
+  std::vector<std::vector<std::string>> values;  // per request, per fact
+  std::vector<std::string> explanations;         // one JSON object per lane
+  for (size_t i = 0; i < futures.size(); ++i) {
+    serve::ServeResponse r = futures[i].get();
+    if (!r.ok && i < first_update) return Fail(r.error);
+    if (!r.ok) {
+      return Fail("updates line " +
+                  std::to_string(updates[i - first_update].line) + ": " +
+                  r.error);
+    }
+    if (i < num_explains) {
+      explanations.push_back(std::move(r.explain_json));
     } else {
-      explain::ExplainLimits limits;
-      limits.k = static_cast<uint32_t>(std::max(1, args.topk));
-      limits.max_trees = static_cast<uint64_t>(std::max(1, args.max_trees));
-      std::vector<std::string> edb_names;
-      edb_names.reserve(num_facts);
-      for (uint32_t v = 0; v < num_facts; ++v) {
-        edb_names.push_back(session.EdbFactName(v));
-      }
-      eval::EvalOptions eopts;
-      eopts.num_threads = ResolveThreads(args);
-      eval::Evaluator ev(eopts);
-      std::vector<eval::SlotValue<S>> slots;
-      for (size_t b = 0; b < taggings.size(); ++b) {
-        ev.EvaluateInto<S>(plan.plan, taggings[b], &slots);
-        Result<std::string> line = ExplainLine<S>(
-            plan, slots, taggings[b], fact.value(), explain_query,
-            args.explain_mode, limits, edb_names);
-        if (!line.ok()) return Fail(line.error());
-        explanations.push_back(std::move(line).value());
-      }
+      values.push_back(std::move(r.values));
     }
   }
   if (args.explain_only) {
     for (const std::string& e : explanations) std::cout << e << "\n";
     return 0;
   }
-
-  // With a delta stream the batch is served (lanes stay materialized for
-  // incremental updates); otherwise it is a one-shot batched evaluation.
-  auto batched = updates.empty() ? session.TagBatch<S>(key, taggings, facts)
-                                 : session.ServeTags<S>(key, taggings, facts);
-  if (!batched.ok()) return Fail(batched.error());
-  const auto& results = batched.value();
+  // values: one row per lane, then one refreshed row per update step.
   const size_t lanes = taggings.size();
-
-  // Replays the delta stream, handing each step's refreshed fact values to
-  // `emit(step_index, step, values)`.
-  auto replay = [&](auto&& emit) -> int {
-    for (size_t i = 0; i < updates.size(); ++i) {
-      auto refreshed = session.UpdateTags<S>(updates[i].lane, updates[i].delta);
-      if (!refreshed.ok()) {
-        return Fail("updates line " + std::to_string(updates[i].line) + ": " +
-                    refreshed.error());
-      }
-      emit(i + 1, updates[i], refreshed.value());
-    }
-    return 0;
-  };
+  const serve::PlanStoreStats cache = store.stats();
+  const uint64_t cache_misses = cache.compiles + cache.snapshot_loads;
 
   if (args.format == "text") {
     if (!args.quiet) {
@@ -589,9 +567,8 @@ int RunTyped(const Args& args, Session& session) {
                 << plan.circuit.Size() << " after "
                 << plan.pass_stats.size() << " passes\n"
                 << "plan: " << plan.plan.num_slots() << " slots in "
-                << plan.plan.num_layers() << " layers; cache "
-                << session.stats().plan_cache_hits << " hit(s) / "
-                << session.stats().plan_cache_misses << " miss(es)\n"
+                << plan.plan.num_layers() << " layers; cache " << cache.hits
+                << " hit(s) / " << cache_misses << " miss(es)\n"
                 << "semiring: " << S::Name() << ", " << lanes << " tagging lane(s)\n";
       if (args.show_facts) {
         std::cout << "EDB taggings are ordered:\n";
@@ -608,28 +585,24 @@ int RunTyped(const Args& args, Session& session) {
     }
     for (size_t i = 0; i < facts.size(); ++i) {
       std::cout << fact_names[i] << " =";
-      for (size_t b = 0; b < lanes; ++b) {
-        std::cout << " " << pipeline::FormatSemiringValue<S>(results[b][i]);
-      }
+      for (size_t b = 0; b < lanes; ++b) std::cout << " " << values[b][i];
       std::cout << "\n";
     }
     for (size_t b = 0; b < explanations.size(); ++b) {
       std::cout << "explain lane " << b << ": " << explanations[b] << "\n";
     }
-    int code = replay([&](size_t step, const UpdateStep<S>& u,
-                          const std::vector<typename S::Value>& values) {
-      std::cout << "update " << step << " lane " << u.lane << ":";
+    for (size_t s = 0; s < updates.size(); ++s) {
+      std::cout << "update " << s + 1 << " lane " << updates[s].lane << ":";
       for (size_t i = 0; i < facts.size(); ++i) {
         std::cout << (i ? ", " : " ") << fact_names[i] << " = "
-                  << pipeline::FormatSemiringValue<S>(values[i]);
+                  << values[lanes + s][i];
       }
       std::cout << "\n";
-    });
-    if (code != 0) return code;
+    }
     if (!updates.empty() && !args.quiet) {
-      std::cout << "updates: " << session.stats().incremental_updates
-                << " applied, " << session.stats().incremental_fallbacks
-                << " full re-evaluation fallback(s)\n";
+      const serve::ServerStats st = server.stats();
+      std::cout << "updates: " << st.updates << " applied, "
+                << st.update_fallbacks << " full re-evaluation fallback(s)\n";
     }
   } else if (args.format == "csv") {
     // The plan tree goes to stderr so csv stdout stays machine-clean.
@@ -642,20 +615,17 @@ int RunTyped(const Args& args, Session& session) {
     std::cout << "\n";
     for (size_t i = 0; i < facts.size(); ++i) {
       std::cout << CsvField(fact_names[i]);
-      for (size_t b = 0; b < lanes; ++b) {
-        std::cout << "," << pipeline::FormatSemiringValue<S>(results[b][i]);
-      }
+      for (size_t b = 0; b < lanes; ++b) std::cout << "," << values[b][i];
       std::cout << "\n";
     }
     if (!updates.empty()) std::cout << "update,lane,fact,value\n";
-    int code = replay([&](size_t step, const UpdateStep<S>& u,
-                          const std::vector<typename S::Value>& values) {
+    for (size_t s = 0; s < updates.size(); ++s) {
       for (size_t i = 0; i < facts.size(); ++i) {
-        std::cout << step << "," << u.lane << "," << CsvField(fact_names[i])
-                  << "," << pipeline::FormatSemiringValue<S>(values[i]) << "\n";
+        std::cout << s + 1 << "," << updates[s].lane << ","
+                  << CsvField(fact_names[i]) << "," << values[lanes + s][i]
+                  << "\n";
       }
-    });
-    if (code != 0) return code;
+    }
   } else if (args.format == "json") {
     std::cout << "{\n  \"semiring\": \"" << S::Name() << "\",\n"
               << "  \"construction\": \""
@@ -678,16 +648,14 @@ int RunTyped(const Args& args, Session& session) {
               << ", \"layers_used\": " << plan.layers_used << "},\n"
               << "  \"plan\": {\"slots\": " << plan.plan.num_slots()
               << ", \"layers\": " << plan.plan.num_layers()
-              << ", \"cache_hits\": " << session.stats().plan_cache_hits
-              << ", \"cache_misses\": " << session.stats().plan_cache_misses
+              << ", \"cache_hits\": " << cache.hits
+              << ", \"cache_misses\": " << cache_misses
               << "},\n  \"lanes\": " << lanes << ",\n  \"results\": [\n";
     for (size_t i = 0; i < facts.size(); ++i) {
       std::cout << "    {\"fact\": \"" << JsonEscape(fact_names[i])
                 << "\", \"values\": [";
       for (size_t b = 0; b < lanes; ++b) {
-        if (b) std::cout << ", ";
-        std::cout << "\"" << pipeline::FormatSemiringValue<S>(results[b][i])
-                  << "\"";
+        std::cout << (b ? ", " : "") << "\"" << values[b][i] << "\"";
       }
       std::cout << "]}" << (i + 1 < facts.size() ? "," : "") << "\n";
     }
@@ -702,19 +670,14 @@ int RunTyped(const Args& args, Session& session) {
     }
     if (!updates.empty()) {
       std::cout << ",\n  \"updates\": [\n";
-      size_t total = updates.size();
-      int code = replay([&](size_t step, const UpdateStep<S>& u,
-                            const std::vector<typename S::Value>& values) {
-        std::cout << "    {\"update\": " << step << ", \"lane\": " << u.lane
-                  << ", \"values\": [";
+      for (size_t s = 0; s < updates.size(); ++s) {
+        std::cout << "    {\"update\": " << s + 1
+                  << ", \"lane\": " << updates[s].lane << ", \"values\": [";
         for (size_t i = 0; i < facts.size(); ++i) {
-          if (i) std::cout << ", ";
-          std::cout << "\"" << pipeline::FormatSemiringValue<S>(values[i])
-                    << "\"";
+          std::cout << (i ? ", " : "") << "\"" << values[lanes + s][i] << "\"";
         }
-        std::cout << "]}" << (step < total ? "," : "") << "\n";
-      });
-      if (code != 0) return code;
+        std::cout << "]}" << (s + 1 < updates.size() ? "," : "") << "\n";
+      }
       std::cout << "  ]";
     }
     std::cout << "\n}\n";
@@ -723,7 +686,6 @@ int RunTyped(const Args& args, Session& session) {
   // The phase table goes to stderr so csv/json stdout stays machine-clean.
   if (args.profile) {
     const pipeline::PhaseProfile& ph = session.phase_profile();
-    const pipeline::SessionStats& st = session.stats();
     std::ostringstream prof;
     prof.setf(std::ios::fixed);
     prof << std::setprecision(3)
@@ -735,8 +697,8 @@ int RunTyped(const Args& args, Session& session) {
          << "  construct   " << ph.construct_ms << "\n"
          << "  passes      " << ph.passes_ms << "\n"
          << "  plan-build  " << ph.plan_build_ms << "\n"
-         << "profile: plan cache " << st.plan_cache_hits << " hit(s) / "
-         << st.plan_cache_misses << " miss(es)\n";
+         << "profile: plan cache " << cache.hits << " hit(s) / "
+         << cache_misses << " miss(es)\n";
     const obs::LocalHistogram sweeps =
         obs::Registry::Default()
             .GetHistogram("dlcirc_eval_sweep_ns")
@@ -751,8 +713,7 @@ int RunTyped(const Args& args, Session& session) {
   return 0;
 }
 
-/// Builds the Session both commands share: program/CFG + EDB + evaluator
-/// threading (flag, then DLCIRC_THREADS, then 1).
+/// Builds the Session every command shares: program/CFG + EDB.
 Result<Session> BuildSession(const Args& args) {
   if (args.program_file.empty() == args.cfg_file.empty()) {
     return Result<Session>::Error(
@@ -761,22 +722,20 @@ Result<Session> BuildSession(const Args& args) {
   if (args.facts_file.empty() == args.graph_file.empty()) {
     return Result<Session>::Error("pass exactly one of --facts or --graph");
   }
-  pipeline::SessionOptions options;
-  options.eval.num_threads = ResolveThreads(args);
   Result<Session> session_r = [&]() -> Result<Session> {
     std::string text, error;
     if (!args.program_file.empty()) {
       if (!ReadFile(args.program_file, &text, &error)) {
         return Result<Session>::Error(error);
       }
-      return Session::FromDatalog(text, options);
+      return Session::FromDatalog(text);
     }
     if (!ReadFile(args.cfg_file, &text, &error)) {
       return Result<Session>::Error(error);
     }
     Result<Cfg> cfg = ParseCfgText(text);
     if (!cfg.ok()) return Result<Session>::Error(args.cfg_file + ": " + cfg.error());
-    return Session::FromCfg(cfg.value(), options);
+    return Session::FromCfg(cfg.value());
   }();
   if (!session_r.ok()) return session_r;
   Session session = std::move(session_r).value();
