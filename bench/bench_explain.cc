@@ -48,11 +48,6 @@ constexpr const char* kTcProgram =
 
 using Clock = std::chrono::steady_clock;
 
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
 std::string JsonNum(double v) {
   std::ostringstream ss;
   ss << v;
@@ -168,7 +163,7 @@ Point RunPoint(pipeline::Session& session, serve::PlanStore& store,
   std::this_thread::sleep_for(
       std::chrono::duration<double, std::milli>(duration_ms));
   measuring.store(false);
-  double window_ms = MsSince(window_start);
+  double window_ms = bench::MsSince(window_start);
   done.store(true);
   for (std::thread& t : threads) t.join();
 

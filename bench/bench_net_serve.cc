@@ -54,11 +54,6 @@ constexpr int kPipelineDepth = 2;
 
 using Clock = std::chrono::steady_clock;
 
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
 pipeline::Session MakeSession(uint32_t n, uint32_t m, Rng* rng) {
   StGraph g = RandomConnectedGraph(n, m, /*num_labels=*/1, *rng);
   std::ostringstream csv;
@@ -308,7 +303,7 @@ NetPoint RunPoint(pipeline::Session& session, serve::PlanStore& store,
   std::this_thread::sleep_for(
       std::chrono::duration<double, std::milli>(duration_ms));
   measuring.store(false);
-  const double window_ms = MsSince(window_start);
+  const double window_ms = bench::MsSince(window_start);
   stop.store(true);
   sock.Stop();  // unblocks clients waiting in recv via close
   for (std::thread& t : clients) t.join();

@@ -112,12 +112,6 @@ struct RouteRun {
   double eval_ms = 0;
 };
 
-double MsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 /// Compiles and serves every applicable route for one workload; returns one
 /// row per route with the planner's pick flagged. Parity across routes is a
 /// hard gate (exit 1).
@@ -163,7 +157,7 @@ std::vector<RouteRun> RunWorkload(const char* program, const std::string& facts,
 
     auto t0 = std::chrono::steady_clock::now();
     auto compiled = session.Compile(key);
-    run.compile_ms = MsSince(t0);
+    run.compile_ms = bench::MsSince(t0);
     if (!compiled.ok()) {
       std::cerr << pipeline::ConstructionName(cand.construction) << ": "
                 << compiled.error() << "\n";
@@ -180,7 +174,7 @@ std::vector<RouteRun> RunWorkload(const char* program, const std::string& facts,
     for (uint32_t r = 0; r < reps; ++r) {
       out = eval::EvaluateBatch<S>(evaluator, compiled.value()->plan, lanes);
     }
-    run.eval_ms = MsSince(t0) / reps;
+    run.eval_ms = bench::MsSince(t0) / reps;
 
     if (cand.construction == Construction::kGrounded) {
       oracle = out;

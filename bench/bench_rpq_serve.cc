@@ -1,19 +1,21 @@
-// E15 — serving chain-Datalog/RPQ workloads through the Section 5 dichotomy
-// planner (src/pipeline/chain_planner):
+// E15 — serving chain-Datalog/RPQ workloads through the cost-based planner,
+// whose Section 5 candidates come from the dichotomy analysis
+// (src/pipeline/chain_planner):
 //
-// Part 1 (routed serving vs direct evaluation): a finite chain workload is
-// routed to the finite-RPQ construction (Theorem 5.8) and compiled ONCE;
-// each tagging request is then a batched EvalPlan sweep. The baseline is
+// Part 1 (planned serving vs direct evaluation): a finite chain workload is
+// compiled ONCE under the planner's pick for each semiring (the finite-RPQ
+// construction, Theorem 5.8, for all four selective semirings here); each
+// tagging request is then a batched EvalPlan sweep. The baseline is
 // the src/cflr/ Knuth solver, which re-runs its priority-queue fixpoint
 // from scratch per tagging — the compile-once/evaluate-many asymmetry the
 // circuit story exists for. Output parity is differential-checked per
 // request on every target pair.
 //
-// Part 2 (the depth dichotomy, served): sweeping graph size n, the routed
-// circuit of a finite chain language keeps depth Theta(log n) while the
-// grounded construction of an infinite one (TC) grows its depth linearly
-// with the ICO layer count — the two sides of Theorems 5.6-5.8, measured
-// on the circuits the serving layer actually evaluates.
+// Part 2 (the depth dichotomy, served): sweeping graph size n, the
+// finite-RPQ circuit of a finite chain language keeps depth Theta(log n)
+// while the grounded construction of an infinite one (TC) grows its depth
+// linearly with the ICO layer count — the two sides of Theorems 5.6-5.8,
+// measured on the circuits the serving layer actually evaluates.
 //
 // Usage: bench_rpq_serve [--small]
 //   --small    CI smoke mode: tiny graphs, few requests, relaxed verdicts
@@ -48,13 +50,9 @@ using pipeline::Session;
 
 using Clock = std::chrono::steady_clock;
 
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
-// Finite chain workload over labels {a, b, c}: longest word 3, routed to
-// finite-rpq. The infinite workload is TC (E+), routed to grounded.
+// Finite chain workload over labels {a, b, c}: longest word 3, which the
+// planner sends to finite-rpq. The infinite workload is TC (E+), which part
+// 2 compiles grounded to measure its ICO-layer depth.
 constexpr char kFiniteGrammar[] = "S -> A b A\nA -> a | c";
 constexpr char kInfiniteGrammar[] = "T -> E | T E";
 
@@ -104,13 +102,15 @@ std::vector<typename S::Value> RandomEdgeValues(size_t n, Rng* rng) {
   return out;
 }
 
-/// Part 1 for one semiring: R requests through the routed plan (one batched
-/// sweep, the serving path) vs R Knuth fixpoints; parity on every (u,v).
+/// Part 1 for one semiring: R requests through the planner's plan (one
+/// batched sweep, the serving path) vs R Knuth fixpoints; parity on every
+/// (u,v).
 template <Semiring S>
 bool RoutedVsCflr(const Workload& w, size_t requests, Rng* rng, Table* table) {
   Session session = MakeSession(w);
-  Construction routed = session.RouteChainConstruction(S::kIsIdempotent).value();
-  PlanKey key = PlanKey::For<S>(routed);
+  PlanKey key = PlanKey::For<S>(
+      session.PlanConstruction(pipeline::SemiringTraits::For<S>())
+          .construction);
 
   std::vector<std::vector<typename S::Value>> edge_values;
   std::vector<std::vector<typename S::Value>> lanes;
@@ -125,7 +125,7 @@ bool RoutedVsCflr(const Workload& w, size_t requests, Rng* rng, Table* table) {
   }
   const std::vector<uint32_t>& facts = session.TargetFacts();
 
-  // Routed: compile once (outside the serving clock, like a warm server),
+  // Planned: compile once (outside the serving clock, like a warm server),
   // then one batched sweep over all request lanes.
   auto compiled = session.Compile(key);
   if (!compiled.ok()) {
@@ -136,7 +136,7 @@ bool RoutedVsCflr(const Workload& w, size_t requests, Rng* rng, Table* table) {
   Clock::time_point t0 = Clock::now();
   const std::vector<std::vector<typename S::Value>> outputs =
       eval::EvaluateBatch<S>(evaluator, compiled.value()->plan, lanes);
-  double routed_ms = MsSince(t0);
+  double routed_ms = bench::MsSince(t0);
 
   // Baseline: the Knuth solver re-runs per request.
   Cfg cnf = w.cfg.ToCnf();
@@ -145,7 +145,7 @@ bool RoutedVsCflr(const Workload& w, size_t requests, Rng* rng, Table* table) {
   for (size_t r = 0; r < requests; ++r) {
     solved.push_back(SolveCflReachability<S>(cnf, w.graph, edge_values[r]));
   }
-  double cflr_ms = MsSince(t0);
+  double cflr_ms = bench::MsSince(t0);
 
   // Parity, every target fact of every request. Grounded tuples hold domain
   // constant ids; translate back to graph vertex numbers via the "v<i>"

@@ -50,11 +50,6 @@ constexpr const char* kTcProgram =
 
 using Clock = std::chrono::steady_clock;
 
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
 struct LoadPoint {
   std::string semiring;
   std::string workload;  // "eval" or "mixed"
@@ -180,7 +175,7 @@ LoadPoint RunClosedLoop(serve::Server& server, const std::string& semiring,
   measuring.store(true);
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(duration_ms));
   measuring.store(false);
-  double window_ms = MsSince(window_start);
+  double window_ms = bench::MsSince(window_start);
   done.store(true);
   for (std::thread& t : threads) t.join();
 
@@ -220,7 +215,7 @@ SnapshotResult SnapshotRoundTrip(const std::string& graph_csv,
   pipeline::Session cold = MakeSession(graph_csv);
   Clock::time_point t0 = Clock::now();
   auto compiled = cold.Compile(key);
-  result.compile_ms = MsSince(t0);
+  result.compile_ms = bench::MsSince(t0);
   DLCIRC_CHECK(compiled.ok()) << compiled.error();
 
   const std::string path =
@@ -233,7 +228,7 @@ SnapshotResult SnapshotRoundTrip(const std::string& graph_csv,
   t0 = Clock::now();
   auto loaded =
       serve::LoadPlan(path, cold.ProgramDigest(), cold.EdbDigest(), key);
-  result.load_ms = MsSince(t0);
+  result.load_ms = bench::MsSince(t0);
   DLCIRC_CHECK(loaded.ok()) << loaded.error();
   result.speedup = result.compile_ms / std::max(result.load_ms, 1e-6);
 

@@ -52,11 +52,6 @@ constexpr const char* kTcProgram =
 
 using Clock = std::chrono::steady_clock;
 
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
 struct Phase {
   double load_ms = 0;    ///< mean LoadPlan wall time
   double verify_ms = 0;  ///< mean structural-verification time within it
@@ -119,7 +114,7 @@ Point Measure(uint32_t n, uint32_t m, int reps, Rng* rng) {
     auto start = Clock::now();
     auto r = serve::LoadPlan(path, session.ProgramDigest(),
                              session.EdbDigest(), key, &stats);
-    double total = MsSince(start);
+    double total = bench::MsSince(start);
     DLCIRC_CHECK(r.ok()) << r.error();
     DLCIRC_CHECK(!stats.verify_memoized);
     p.cold.load_ms += total / reps;
@@ -133,7 +128,7 @@ Point Measure(uint32_t n, uint32_t m, int reps, Rng* rng) {
     auto start = Clock::now();
     auto r = serve::LoadPlan(path, session.ProgramDigest(),
                              session.EdbDigest(), key, &stats);
-    double total = MsSince(start);
+    double total = bench::MsSince(start);
     DLCIRC_CHECK(r.ok()) << r.error();
     DLCIRC_CHECK(stats.verify_memoized);
     p.steady.load_ms += total / reps;

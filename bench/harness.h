@@ -4,6 +4,7 @@
 #ifndef DLCIRC_BENCH_HARNESS_H_
 #define DLCIRC_BENCH_HARNESS_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -20,6 +21,13 @@ void Banner(const std::string& experiment_id, const std::string& paper_artifact,
 /// Prints a one-line verdict ("[OK] ..." / "[WARN] ...") used to summarize
 /// whether the measured shape matches the paper's claim.
 void Verdict(bool ok, const std::string& message);
+
+/// Milliseconds elapsed on the steady clock since `start`.
+inline double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
 
 /// Latency sink for bench client loops: the obs log-bucketed histogram
 /// (nearest-rank quantiles) instead of the sort-the-samples math the benches

@@ -33,7 +33,7 @@ Result<Circuit> FiniteRpqCircuit(const LabeledGraph& graph,
                                  uint32_t t);
 
 /// The core of the Theorem 5.8 unrolling, exposed for multi-output
-/// constructions (the pipeline's dichotomy planner builds one circuit
+/// constructions (the pipeline's finite-RPQ construction builds one circuit
 /// covering every IDB fact): unrolls the graph x DFA product from source
 /// vertex `s` into `b`, and returns for every vertex t the list of terms
 /// whose (+)-sum computes

@@ -41,7 +41,7 @@ struct ChainNfa {
   /// (the state whose q0-to-state path language is L_A); kNoState for EDB
   /// predicates and for the fresh states threading multi-terminal bodies.
   /// Re-targeting `accept` to {pred_state[A]} yields an NFA for L_A — how
-  /// the dichotomy planner decides per-predicate finiteness (Theorem 5.9).
+  /// the dichotomy analysis decides per-predicate finiteness (Theorem 5.9).
   static constexpr uint32_t kNoState = 0xffffffffu;
   std::vector<uint32_t> pred_state;
 };

@@ -151,15 +151,6 @@ Result<ChainRoute> PlanChainRoute(const Program& program,
   return route;
 }
 
-std::string RouteReason(const ChainRoute& route, bool plus_idempotent) {
-  if (!route.finite || plus_idempotent) return route.reason;
-  return "every chain language is finite (longest word " +
-         std::to_string(route.longest_word) +
-         "), but the semiring is not plus-idempotent — the finite-RPQ "
-         "construction sums per word, the program per derivation — so the "
-         "grounded construction serves it (Theorems 5.6-5.7)";
-}
-
 Result<Circuit> BuildFiniteChainCircuit(const ChainRoute& route,
                                         const Program& program,
                                         const Database& db,

@@ -1,4 +1,4 @@
-// The Section 5 dichotomy planner for chain-Datalog / RPQ workloads.
+// The Section 5 dichotomy analysis for chain-Datalog / RPQ workloads.
 //
 // Proposition 5.2 identifies basic chain programs with CFGs; Theorems
 // 5.6-5.9 split them by *language finiteness*:
@@ -8,10 +8,10 @@
 //                  graph x DFA product unrolled LongestWord steps covers
 //                  every matched path), while
 //   infinite L  -> the program is transitive-closure-hard and the layered
-//                  grounded construction (Theorems 5.6/5.7) is the right
-//                  tool.
+//                  constructions (grounded, Theorems 5.6/5.7) are the
+//                  right tool.
 //
-// PlanChainRoute runs that decision for a whole program — every IDB
+// PlanChainRoute runs that analysis for a whole program — every IDB
 // predicate's language, not just the target's, since the grounded program
 // serves provenance for all of them — and, on the finite side, compiles
 // each predicate's language to a minimized DFA over the EDB-label
@@ -23,8 +23,8 @@
 //   * general chain programs go through Cfg::IsFiniteLanguage and
 //     Cfg::LongestWordLength per start symbol, enumerate the (finite) word
 //     set, and build a trie DFA. Enumeration is capped
-//     (ChainPlannerOptions); a blown cap routes to grounded rather than
-//     building an unbounded circuit.
+//     (ChainPlannerOptions); a blown cap leaves the finite route out rather
+//     than building an unbounded circuit.
 //
 // BuildFiniteChainCircuit then emits the Theorem 5.8 construction as a
 // normal multi-output circuit — output i is the provenance of grounded IDB
@@ -35,15 +35,15 @@
 // Exactness: the DFA run of a word is unique, so each matched path
 // contributes once per *word*, while the grounded program sums once per
 // *derivation*. The two coincide whenever duplicate identical terms
-// collapse, i.e. over plus-idempotent semirings; Session::Compile enforces
-// that (non-idempotent keys route to grounded).
+// collapse, i.e. over plus-idempotent semirings; the planner only scores
+// the finite route there, and Session::Compile rejects other keys.
 //
-// Since the cost-based planner landed (src/pipeline/planner.h), this module
-// is one candidate generator among several: PlanChainRoute feeds the
-// PlannerContext's chain-shape facts and the kFiniteRpq candidate, next to
-// the Section 4 bounded route and the Theorem 5.6/5.7 path constructions.
-// RouteChainConstruction (the PR 5 `--grammar` front door) remains as the
-// dichotomy-only resolver.
+// The analysis decides nothing on its own: it is a candidate generator of
+// the cost-based planner (src/pipeline/planner.h). BuildPlannerContext runs
+// PlanChainRoute once per Session and keeps the result as
+// PlannerContext::chain, which feeds the kFiniteRpq candidate and the
+// Theorem 5.6/5.7 TC-shape test next to the Section 4 bounded route;
+// Compile(kFiniteRpq) reads its DFAs from there.
 #ifndef DLCIRC_PIPELINE_CHAIN_PLANNER_H_
 #define DLCIRC_PIPELINE_CHAIN_PLANNER_H_
 
@@ -63,7 +63,7 @@ namespace pipeline {
 
 struct ChainPlannerOptions {
   /// Per-predicate cap on enumerated words (general, non-left-linear CFGs
-  /// only). Exceeding it routes the program to grounded.
+  /// only). Exceeding it leaves the finite route out (finite = false).
   size_t max_words = 4096;
   /// Cap on the longest enumerated word, same fallback.
   uint32_t max_word_length = 64;
@@ -77,11 +77,11 @@ struct PredLanguage {
   uint32_t longest_word = 0;
 };
 
-/// The routing decision for one basic chain program.
+/// The dichotomy analysis of one basic chain program.
 struct ChainRoute {
   bool finite = false;       ///< finite branch (Theorem 5.8) applies
   bool left_linear = false;  ///< decided via the NFA/DFA pipeline
-  std::string reason;        ///< human-readable routing explanation
+  std::string reason;        ///< human-readable explanation of the branch
   std::vector<std::string> label_preds;  ///< DFA label id -> EDB pred name
   /// Finite routes only: one entry per IDB predicate with a non-empty
   /// language. Predicates with empty languages derive no facts and need no
@@ -90,16 +90,10 @@ struct ChainRoute {
   uint32_t longest_word = 0;  ///< max over pred_langs (the unrolling bound)
 };
 
-/// Decides the route for `program` (see file comment). Fails when the
-/// program is not basic chain Datalog.
+/// Runs the dichotomy analysis for `program` (see file comment). Fails
+/// when the program is not basic chain Datalog.
 Result<ChainRoute> PlanChainRoute(const Program& program,
                                   ChainPlannerOptions options = {});
-
-/// The routing explanation for a resolved (route, semiring) pair — what
-/// Session::RouteChainConstruction actually decides. Differs from
-/// route.reason exactly when a finite language still routes to grounded
-/// because the semiring is not plus-idempotent.
-std::string RouteReason(const ChainRoute& route, bool plus_idempotent);
 
 /// Builds the Theorem 5.8 multi-output circuit for a finite route: inputs
 /// are the EDB provenance variables of `db`, output i the provenance of

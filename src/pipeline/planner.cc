@@ -83,24 +83,15 @@ Result<Construction> ParseConstruction(std::string_view name) {
 
 PlannerContext BuildPlannerContext(const Program& program, const Database& db,
                                    const GroundedProgram& grounded,
-                                   const Result<ChainRoute>& chain_route,
                                    const ExpansionLimits& limits) {
   PlannerContext ctx;
   ctx.analysis = Analyze(program);
-
-  if (chain_route.ok()) {
-    ctx.is_chain = true;
-    ctx.chain_finite = chain_route.value().finite;
-    ctx.chain_longest_word = chain_route.value().longest_word;
-    ctx.chain_reason = chain_route.value().reason;
-  } else {
-    ctx.chain_reason = chain_route.error();
-  }
+  ctx.chain = PlanChainRoute(program);
 
   // Sigma+ detection. The chain route carries DFAs only on the finite side,
   // so the infinite side rebuilds them: left-linear programs only — the
   // structural test needs a minimized DFA per predicate.
-  if (ctx.is_chain && !ctx.chain_finite) {
+  if (ctx.chain.ok() && !ctx.chain.value().finite) {
     Result<ChainNfa> nfa_r = LeftLinearChainToNfa(program);
     if (nfa_r.ok()) {
       const ChainNfa& cn = nfa_r.value();
@@ -263,21 +254,21 @@ RouteDecision PlanRoute(const PlannerContext& c, const SemiringTraits& s,
   }
 
   // kFiniteRpq (Theorem 5.8).
-  if (!c.is_chain) {
+  if (!c.chain.ok()) {
     reject(Construction::kFiniteRpq,
-           "not a basic chain program: " + c.chain_reason);
-  } else if (!c.chain_finite) {
-    reject(Construction::kFiniteRpq, c.chain_reason);
+           "not a basic chain program: " + c.chain.error());
+  } else if (!c.chain.value().finite) {
+    reject(Construction::kFiniteRpq, c.chain.value().reason);
   } else if (!s.plus_idempotent) {
     reject(Construction::kFiniteRpq,
            "finite chain languages, but " + s.name +
                " is not plus-idempotent (the construction sums per word, "
                "the program per derivation)");
   } else {
+    const uint32_t longest = c.chain.value().longest_word;
     score(Construction::kFiniteRpq,
-          c.chain_reason + "; size O(m), depth O(log n)",
-          m * (c.chain_longest_word + 1) + n_idb,
-          Lg(c.chain_longest_word + 1) + Lg(m));
+          c.chain.value().reason + "; size O(m), depth O(log n)",
+          m * (longest + 1) + n_idb, Lg(longest + 1) + Lg(m));
   }
 
   // kBounded (Theorem 4.3 via Section 4 boundedness).
@@ -314,8 +305,8 @@ RouteDecision PlanRoute(const PlannerContext& c, const SemiringTraits& s,
   // kBellmanFord / kRepeatedSquaring (Theorems 5.6/5.7): TC-shaped chain
   // programs, i.e. every non-empty language is Sigma+.
   std::string tc_shape_rejection;
-  if (!c.is_chain) {
-    tc_shape_rejection = "not a basic chain program: " + c.chain_reason;
+  if (!c.chain.ok()) {
+    tc_shape_rejection = "not a basic chain program: " + c.chain.error();
   } else if (!c.sigma_plus) {
     tc_shape_rejection =
         "not TC-shaped: some chain language differs from Sigma+ (or the "

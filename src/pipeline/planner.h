@@ -1,9 +1,9 @@
-// The cost-based planner: one routing surface for every construction the
-// paper proves (ROADMAP item 3).
-//
-// PR 5's chain planner wired the Section 5 dichotomy; this module folds the
-// remaining plan-time decisions into a single scored choice per (program,
-// EDB, semiring):
+// The cost-based planner: the one route decision for every construction the
+// paper proves. Every automatic pick resolves here — `dlcirc run|serve
+// --construction auto`, its `--grammar FILE` shorthand, and a serve
+// request's "construction": "auto" — and the Section 5 dichotomy
+// (chain_planner.h) is one of its candidate generators. It makes a single
+// scored choice per (program, EDB, semiring):
 //
 //   kGrounded          Theorem 3.1  — always applicable, layers = ICO steps.
 //   kBounded           Theorem 4.3  — a bounded program needs only a
@@ -97,10 +97,11 @@ struct PlannerContext {
   ProgramAnalysis analysis;
 
   // Section 5 chain shape.
-  bool is_chain = false;       ///< basic chain; the CFG correspondence holds
-  bool chain_finite = false;   ///< every non-empty language finite (Thm 5.8)
-  uint32_t chain_longest_word = 0;
-  std::string chain_reason;    ///< route reason, or why the program is not chain
+  /// The dichotomy analysis (PlanChainRoute) the context was built from:
+  /// per-predicate language finiteness and, on the finite side, the DFAs
+  /// Compile(kFiniteRpq) builds from. An error says why the program is not
+  /// basic chain (the CFG correspondence of Prop 5.2 does not hold).
+  Result<ChainRoute> chain = Result<ChainRoute>::Error("no chain analysis");
   /// Left-linear chain where every IDB predicate's non-empty language is
   /// exactly Sigma+ (all non-empty label words) — the TC shape Theorems
   /// 5.6/5.7 are stated for, detected structurally on the minimized DFAs.
@@ -131,12 +132,11 @@ struct PlannerContext {
   uint32_t edb_diameter_bound = 0;
 };
 
-/// Builds the context. `chain_route` is the Session's cached PR 5 analysis
-/// (errors — non-chain programs — are folded into the context, not
-/// propagated). `limits` bound the Chom expansion enumeration.
+/// Builds the context, running PlanChainRoute on `program` (a non-chain
+/// program's error is kept in `chain`, not propagated). `limits` bound the
+/// Chom expansion enumeration.
 PlannerContext BuildPlannerContext(const Program& program, const Database& db,
                                    const GroundedProgram& grounded,
-                                   const Result<ChainRoute>& chain_route,
                                    const ExpansionLimits& limits = {});
 
 struct PlannerOptions {

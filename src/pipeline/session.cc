@@ -11,6 +11,7 @@
 #include "src/lang/chain_datalog.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/pipeline/chain_planner.h"
 #include "src/pipeline/io.h"
 #include "src/util/check.h"
 
@@ -18,12 +19,36 @@ namespace dlcirc {
 namespace pipeline {
 
 namespace {
+
 double MsSince(uint64_t start_ns) {
   return static_cast<double>(obs::NowNs() - start_ns) * 1e-6;
 }
+
+// Program::ToString renders interned names, so two programs that parse to
+// the same rules digest equally regardless of source whitespace or
+// comments. The target predicate is part of the rendering's identity.
+uint64_t DigestProgram(const Program& program) {
+  Fnv1a64 h;
+  h.String(program.ToString());
+  h.String(program.preds.Name(program.target_pred));
+  return h.digest();
+}
+
+// Facts in provenance-variable order: the digest pins not just the set of
+// facts but the variable numbering a tagging lane is written in.
+uint64_t DigestEdb(const Program& program, const Database& db) {
+  Fnv1a64 h;
+  h.U32(db.num_facts());
+  for (uint32_t v = 0; v < db.num_facts(); ++v) {
+    h.String(db.FactToString(program, v));
+  }
+  return h.digest();
+}
+
 }  // namespace
 
-Session::Session(Program program) : program_(std::move(program)) {}
+Session::Session(Program program)
+    : program_(std::move(program)), program_digest_(DigestProgram(program_)) {}
 
 Result<Session> Session::FromDatalog(std::string_view program_text) {
   const uint64_t t0 = obs::NowNs();
@@ -52,6 +77,7 @@ Result<bool> Session::LoadFactsText(std::string_view facts_text) {
   Result<Database> db = ParseFacts(program_, facts_text);
   if (!db.ok()) return Result<bool>::Error(db.error());
   db_ = std::move(db).value();
+  edb_digest_ = DigestEdb(program_, *db_);
   return true;
 }
 
@@ -64,6 +90,7 @@ Result<bool> Session::LoadGraphCsv(std::string_view csv_text) {
                                       &csv.vertex_names);
   db_ = std::move(gdb.db);
   edge_vars_ = std::move(gdb.edge_vars);
+  edb_digest_ = DigestEdb(program_, *db_);
   return true;
 }
 
@@ -83,33 +110,15 @@ const GroundedProgram& Session::grounded() {
   return *grounded_;
 }
 
-const Result<ChainRoute>& Session::chain_route() {
-  if (!chain_route_.has_value()) {
-    const uint64_t t0 = obs::NowNs();
-    obs::TraceSpan span("compile", "route");
-    chain_route_ = PlanChainRoute(program_);
-    phases_.route_ms = MsSince(t0);
-  }
-  return *chain_route_;
-}
-
-Result<Construction> Session::RouteChainConstruction(bool plus_idempotent) {
-  const Result<ChainRoute>& route = chain_route();
-  if (!route.ok()) return Result<Construction>::Error(route.error());
-  return route.value().finite && plus_idempotent ? Construction::kFiniteRpq
-                                                 : Construction::kGrounded;
-}
-
 const PlannerContext& Session::planner_context() {
   if (!planner_context_.has_value()) {
-    // Force the prerequisites first so ground/route phase attribution stays
-    // clean, then time only the context build itself under route_ms.
+    // Ground first so ground/route phase attribution stays clean, then time
+    // only the context build itself under route_ms.
     const GroundedProgram& g = grounded();
-    const Result<ChainRoute>& route = chain_route();
     const uint64_t t0 = obs::NowNs();
     obs::TraceSpan span("compile", "route");
-    planner_context_ = BuildPlannerContext(program_, db(), g, route);
-    phases_.route_ms += MsSince(t0);
+    planner_context_ = BuildPlannerContext(program_, db(), g);
+    phases_.route_ms = MsSince(t0);
   }
   return *planner_context_;
 }
@@ -128,12 +137,20 @@ Result<std::shared_ptr<const CompiledPlan>> Session::Compile(const PlanKey& key)
         "the UVG construction (Theorem 6.2) is only sound over absorptive "
         "semirings; use the grounded construction instead");
   }
-  if (key.construction == Construction::kFiniteRpq && !key.plus_idempotent) {
-    return Out::Error(
-        "the finite-RPQ construction (Theorem 5.8) sums once per word while "
-        "the program sums once per derivation; only plus-idempotent "
-        "semirings collapse the difference — use the grounded construction "
-        "instead");
+  if (key.construction == Construction::kFiniteRpq) {
+    if (!key.plus_idempotent) {
+      return Out::Error(
+          "the finite-RPQ construction (Theorem 5.8) sums once per word "
+          "while the program sums once per derivation; only plus-idempotent "
+          "semirings collapse the difference — use the grounded "
+          "construction instead");
+    }
+    const Result<ChainRoute>& route = planner_context().chain;
+    if (!route.ok()) return Out::Error(route.error());
+    if (!route.value().finite) {
+      return Out::Error("the finite-RPQ construction does not apply: " +
+                        route.value().reason);
+    }
   }
   if (key.construction == Construction::kBounded) {
     const PlannerContext& ctx = planner_context();
@@ -216,21 +233,15 @@ Result<std::shared_ptr<const CompiledPlan>> Session::Compile(const PlanKey& key)
       break;
     }
     case Construction::kFiniteRpq: {
-      const Result<ChainRoute>& route = chain_route();
-      if (!route.ok()) return Out::Error(route.error());
-      if (!route.value().finite) {
-        return Out::Error(
-            "the finite-RPQ construction does not apply: " +
-            route.value().reason);
-      }
+      const ChainRoute& route = planner_context().chain.value();
       Result<Circuit> built_r =
-          BuildFiniteChainCircuit(route.value(), program_, db(), grounded());
+          BuildFiniteChainCircuit(route, program_, db(), grounded());
       if (!built_r.ok()) return Out::Error(built_r.error());
       built = std::move(built_r).value();
       // The unrolling bound plays the role the ICO layer count plays for
       // the grounded construction, and the construction covers every
       // matched path by definition.
-      compiled->layers_used = route.value().longest_word;
+      compiled->layers_used = route.longest_word;
       compiled->reached_fixpoint = true;
       break;
     }
@@ -353,32 +364,9 @@ std::string Session::EdbFactName(uint32_t var) const {
   return db().FactToString(program_, var);
 }
 
-uint64_t Session::ProgramDigest() {
-  if (!program_digest_.has_value()) {
-    // Program::ToString renders interned names, so two programs that parse
-    // to the same rules digest equally regardless of source whitespace or
-    // comments. The target predicate is part of the rendering's identity.
-    Fnv1a64 h;
-    h.String(program_.ToString());
-    h.String(program_.preds.Name(program_.target_pred));
-    program_digest_ = h.digest();
-  }
-  return *program_digest_;
-}
-
-uint64_t Session::EdbDigest() {
-  if (!edb_digest_.has_value()) {
-    const Database& d = db();
-    // Facts in provenance-variable order: the digest pins not just the set
-    // of facts but the variable numbering a tagging lane is written in.
-    Fnv1a64 h;
-    h.U32(d.num_facts());
-    for (uint32_t v = 0; v < d.num_facts(); ++v) {
-      h.String(d.FactToString(program_, v));
-    }
-    edb_digest_ = h.digest();
-  }
-  return *edb_digest_;
+uint64_t Session::EdbDigest() const {
+  DLCIRC_CHECK(db_.has_value()) << "no EDB loaded";
+  return edb_digest_;
 }
 
 }  // namespace pipeline

@@ -8,20 +8,22 @@
 //     -> optimizer pass pipeline                src/eval/passes
 //     -> compiled EvalPlan                      src/eval/evaluator
 //
-// Parsing, grounding, the routing analyses and the digests happen once per
+// Parsing, grounding, the planner context and the digests happen once per
 // Session; Compile builds a fresh plan for a PlanKey = (construction,
 // semiring-class flags, layer bound) on every call. Compiled plans are owned
 // by serve::PlanStore (compile once per key, share, snapshot, evict) and
 // evaluated by serve::Server (coalesced batch sweeps, named lanes with
 // incremental updates, explains); tools/dlcirc_cli.cc fronts both.
 //
-// Thread contract: Compile and the lazy getters (grounded, chain_route,
-// planner_context, TargetFacts, the digests) fill caches and are NOT
-// thread-safe. serve::PlanStore is the one concurrent caller and serializes
-// every Session call it makes under its compile lock; serve::Server warms
-// the lazy caches before its dispatchers start, after which the naming calls
-// (FindFact, FactName, EdbFactName, TargetFacts) only read and may run on
-// one foreground thread beside it.
+// Thread contract: the digests are fixed when the program parses and the
+// EDB loads, so ProgramDigest/EdbDigest are const reads safe from any
+// thread. Compile and the lazy getters (grounded, planner_context,
+// TargetFacts) fill caches and are NOT thread-safe. serve::PlanStore is the
+// one concurrent caller and serializes every Compile under its compile
+// lock; serve::Server warms the lazy caches before its dispatchers start,
+// after which the naming calls (FindFact, FactName, EdbFactName,
+// TargetFacts) and PlanConstruction only read and may run on one
+// foreground thread beside it.
 #ifndef DLCIRC_PIPELINE_SESSION_H_
 #define DLCIRC_PIPELINE_SESSION_H_
 
@@ -40,7 +42,6 @@
 #include "src/eval/evaluator.h"
 #include "src/eval/passes.h"
 #include "src/lang/cfg.h"
-#include "src/pipeline/chain_planner.h"
 #include "src/pipeline/planner.h"
 #include "src/util/hash.h"
 #include "src/util/result.h"
@@ -107,8 +108,8 @@ struct CompiledPlan {
 };
 
 /// Wall-clock breakdown of the compile pipeline, milliseconds. Parse and
-/// ground are once per Session; route is the chain-planner analysis (the
-/// dichotomy decision) plus the planner context; construct/passes/plan_build
+/// ground are once per Session; route is the planner context build (chain
+/// analysis, boundedness, instance statistics); construct/passes/plan_build
 /// reflect the most recent Compile. Phases are timed unconditionally — each
 /// runs once per compiled plan, so two clock reads per phase vanish against
 /// the work they bracket — which is what lets `dlcirc run --profile` report
@@ -116,7 +117,7 @@ struct CompiledPlan {
 struct PhaseProfile {
   double parse_ms = 0;       ///< Datalog/CFG text -> Program
   double ground_ms = 0;      ///< relevant grounding
-  double route_ms = 0;       ///< chain-planner dichotomy analysis
+  double route_ms = 0;       ///< planner context (BuildPlannerContext)
   double construct_ms = 0;   ///< provenance circuit construction
   double passes_ms = 0;      ///< optimizer pass pipeline
   double plan_build_ms = 0;  ///< EvalPlan::Build
@@ -149,30 +150,19 @@ class Session {
   /// The grounded program (computed lazily, once). Requires a loaded EDB.
   const GroundedProgram& grounded();
 
-  /// The Section 5 dichotomy analysis for this session's program (which
-  /// must be basic chain Datalog), computed lazily once and cached: per-
-  /// predicate language finiteness plus, on the finite side, the DFAs the
-  /// kFiniteRpq construction compiles from. EDB-independent.
-  const Result<ChainRoute>& chain_route();
-
-  /// Resolves the dichotomy to a construction: kFiniteRpq when every chain
-  /// language is finite AND the serving semiring is plus-idempotent (the
-  /// finite construction sums per word, the grounded one per derivation;
-  /// idempotent plus collapses the difference), else kGrounded. Fails when
-  /// the program is not basic chain.
-  Result<Construction> RouteChainConstruction(bool plus_idempotent);
-
   /// Everything the cost-based planner knows about this (program, EDB) —
-  /// chain shape, Sigma+ detection, the Section 4 boundedness verdict, and
-  /// the instance statistics the cost model scores with. Computed lazily
-  /// once (it subsumes chain_route() and grounding) and shared by every
-  /// per-semiring PlanConstruction call. Requires a loaded EDB.
+  /// the Section 5 chain analysis (with the DFAs kFiniteRpq compiles from),
+  /// Sigma+ detection, the Section 4 boundedness verdict, and the instance
+  /// statistics the cost model scores with. Computed lazily once (grounding
+  /// first) and shared by every per-semiring PlanConstruction call and by
+  /// Compile. Requires a loaded EDB.
   const PlannerContext& planner_context();
 
-  /// The cost-based routing decision for one request semiring: scores every
-  /// construction over planner_context() and returns the full plan tree
-  /// (src/pipeline/planner.h). decision.construction is what
-  /// `--construction auto` compiles. Requires a loaded EDB.
+  /// The routing decision for one request semiring — the only one there
+  /// is: scores every construction over planner_context() and returns the
+  /// full plan tree (src/pipeline/planner.h). decision.construction is what
+  /// `--construction auto` (and `--grammar`) compiles. Requires a loaded
+  /// EDB.
   RouteDecision PlanConstruction(const SemiringTraits& traits,
                                  const PlannerOptions& options = {});
 
@@ -189,9 +179,10 @@ class Session {
   /// sessions agree on both digests iff they parsed an equivalent program
   /// and loaded the same EDB facts in the same provenance-variable order.
   /// Computed over canonical renderings (FNV-1a), stable across runs and
-  /// platforms. EdbDigest requires a loaded EDB; both are cached.
-  uint64_t ProgramDigest();
-  uint64_t EdbDigest();
+  /// platforms, once: when the program parses and when the EDB loads.
+  /// EdbDigest requires a loaded EDB.
+  uint64_t ProgramDigest() const { return program_digest_; }
+  uint64_t EdbDigest() const;
 
   /// IDB fact ids of the target predicate (grounds if needed).
   const std::vector<uint32_t>& TargetFacts();
@@ -213,11 +204,10 @@ class Session {
   std::optional<Database> db_;
   std::vector<uint32_t> edge_vars_;
   std::optional<GroundedProgram> grounded_;
-  std::optional<Result<ChainRoute>> chain_route_;
   std::optional<PlannerContext> planner_context_;
   PhaseProfile phases_;
-  std::optional<uint64_t> program_digest_;
-  std::optional<uint64_t> edb_digest_;
+  uint64_t program_digest_ = 0;
+  uint64_t edb_digest_ = 0;
 };
 
 }  // namespace pipeline

@@ -69,31 +69,10 @@ Result<std::shared_ptr<const pipeline::CompiledPlan>> PlanStore::GetOrCompile(
   using Out = Result<std::shared_ptr<const pipeline::CompiledPlan>>;
   if (!session.has_database()) return Out::Error("no EDB loaded");
 
-  // Digest computation mutates the Session's lazy caches, so the first
-  // call per session goes through the compile lock; every later call —
-  // including all cache hits — reads the store's own digest cache under
-  // digests_mu_ and never waits behind an in-flight compile on another
-  // channel.
-  PlanStoreKey store_key;
-  store_key.key = key;
-  bool have_digests = false;
-  {
-    std::lock_guard<std::mutex> lock(digests_mu_);
-    if (auto it = digests_.find(&session); it != digests_.end()) {
-      store_key.program_digest = it->second.first;
-      store_key.edb_digest = it->second.second;
-      have_digests = true;
-    }
-  }
-  if (!have_digests) {
-    std::lock_guard<std::mutex> compile_lock(compile_mu_);
-    uint64_t pd = session.ProgramDigest();
-    uint64_t ed = session.EdbDigest();
-    std::lock_guard<std::mutex> lock(digests_mu_);
-    digests_.emplace(&session, std::make_pair(pd, ed));
-    store_key.program_digest = pd;
-    store_key.edb_digest = ed;
-  }
+  // The digests are fixed at parse/load time, so the hit path reads them
+  // without any lock and never waits behind an in-flight compile.
+  const PlanStoreKey store_key{session.ProgramDigest(), session.EdbDigest(),
+                               key};
 
   Shard& shard = ShardFor(store_key);
   {

@@ -91,10 +91,11 @@ class PlanStore {
   PlanStore(const PlanStore&) = delete;
   PlanStore& operator=(const PlanStore&) = delete;
 
-  /// Resolves `key` for `session`'s (program, EDB), compiling at most once
-  /// per store key. Safe to call from any number of threads; all Session
-  /// access happens under the store's compile lock. The session must have
-  /// its EDB loaded.
+  /// Resolves `key` for `session`'s (program, EDB) — its digests, so any
+  /// session with equal digests shares the plan — compiling at most once
+  /// per store key. Safe to call from any number of threads; every Compile
+  /// runs under the store's compile lock. The session must have its EDB
+  /// loaded.
   Result<std::shared_ptr<const pipeline::CompiledPlan>> GetOrCompile(
       pipeline::Session& session, const pipeline::PlanKey& key);
 
@@ -142,14 +143,7 @@ class PlanStore {
   std::atomic<uint64_t> tick_{0};      ///< LRU clock
   std::atomic<uint64_t> resident_{0};  ///< plans across all shards
 
-  std::mutex compile_mu_;  ///< serializes compiles (and all Session access)
-  mutable std::mutex digests_mu_;
-  /// Digests per session, filled on first use so the hot hit path reads
-  /// them under digests_mu_ alone — computing them lazily through the
-  /// Session would require compile_mu_, and a cache hit must never wait
-  /// behind an unrelated cold compile.
-  std::unordered_map<const pipeline::Session*, std::pair<uint64_t, uint64_t>>
-      digests_;
+  std::mutex compile_mu_;  ///< serializes compiles (all non-const Session use)
 
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> compiles_{0};

@@ -40,16 +40,12 @@ Server::Server(pipeline::Session& session, PlanStore& plans,
       "Explanation extraction latency (proofs/why/formula), nanoseconds");
   // Warm every lazily-computed Session cache while still single-threaded;
   // afterwards dispatchers touch the Session only under the PlanStore's
-  // compile lock, and foreground naming (FindFact/FactName) is read-only.
-  // planner_context() (which forces the chain route too) is what keeps
-  // Compile race-free for EVERY routable construction — PR 5 warmed only
-  // chain_route() because kFiniteRpq was the sole non-grounded route; the
-  // bounded and Theorem 5.6/5.7 channels consult the planner context as
-  // well, so it must exist before the dispatcher threads do.
+  // compile lock, and foreground naming (FindFact/FactName) and "auto"
+  // routing (PlanConstruction) are read-only. Compile consults the planner
+  // context for the finite-RPQ, bounded and Theorem 5.6/5.7 channels, so it
+  // must exist before the dispatcher threads do.
   session.grounded();
   session.planner_context();
-  session.ProgramDigest();
-  session.EdbDigest();
   // Proof-tree leaves are named by EDB variable; snapshot the names here so
   // explain requests never touch the Session from dispatcher threads.
   edb_names_.reserve(num_facts_);

@@ -147,10 +147,11 @@ struct ChannelBatchSummary {
 };
 
 /// See file comment. The Session must have its EDB loaded; the Server warms
-/// the grounding and digests at construction and thereafter the Session is
-/// only touched through the PlanStore's compile lock, so one Session may sit
-/// behind one Server plus a single foreground thread doing read-only naming
-/// (FindFact/FactName), which is what `dlcirc serve`, `run` and `explain` do.
+/// the grounding and planner context at construction and thereafter the
+/// Session is only touched through the PlanStore's compile lock, so one
+/// Session may sit behind one Server plus a single foreground thread doing
+/// read-only naming (FindFact/FactName) and "auto" routing
+/// (PlanConstruction), which is what `dlcirc serve`, `run` and `explain` do.
 class Server {
  public:
   Server(pipeline::Session& session, PlanStore& plans,

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,14 +45,16 @@ constexpr const char* kFig1Facts = R"(
 E(s,u1). E(s,u2). E(u1,v1). E(u1,v2). E(u2,v2). E(v1,t). E(v2,t).
 )";
 
-Session MakeFig1Session() {
+Session MakeTcSession(const char* facts) {
   Result<Session> s = Session::FromDatalog(testing::kTcText);
   EXPECT_TRUE(s.ok()) << s.error();
   Session session = std::move(s).value();
-  Result<bool> loaded = session.LoadFactsText(kFig1Facts);
+  Result<bool> loaded = session.LoadFactsText(facts);
   EXPECT_TRUE(loaded.ok()) << loaded.error();
   return session;
 }
+
+Session MakeFig1Session() { return MakeTcSession(kFig1Facts); }
 
 /// A scratch directory fresh per test.
 std::string MakeTempDir(const std::string& name) {
@@ -385,6 +388,30 @@ TEST(PlanStoreTest, SharesOnePlanAndCountsHits) {
   EXPECT_EQ(stats.compiles, 1u);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.snapshot_loads, 0u);
+}
+
+TEST(PlanStoreTest, KeysPlansByContentNotBySessionAddress) {
+  // A new Session built where an old one lived has the old one's address
+  // (here: one std::optional emplaced twice). The store must key it by its
+  // own digests and compile its own plan, not serve the old EDB's plan.
+  serve::PlanStore store;
+  const PlanKey key = PlanKey::For<TropicalSemiring>();
+  std::optional<Session> session;
+  session.emplace(MakeTcSession("E(a,b)."));
+  const Session* address = &*session;
+  auto first = store.GetOrCompile(*session, key);
+  ASSERT_TRUE(first.ok()) << first.error();
+  EXPECT_EQ(first.value()->plan.num_outputs(), 1u);  // T(a,b)
+
+  session.emplace(MakeTcSession("E(a,b). E(b,c). E(c,d)."));
+  ASSERT_EQ(&*session, address);
+  ASSERT_EQ(session->grounded().num_idb_facts(), 6u);
+  auto second = store.GetOrCompile(*session, key);
+  ASSERT_TRUE(second.ok()) << second.error();
+  EXPECT_NE(second.value().get(), first.value().get());
+  EXPECT_EQ(second.value()->plan.num_outputs(), 6u);
+  EXPECT_EQ(store.stats().compiles, 2u);
+  EXPECT_EQ(store.stats().hits, 0u);
 }
 
 TEST(PlanStoreTest, WarmStartsFromSnapshotDirWithIdenticalOutputs) {

@@ -38,7 +38,6 @@
 #include <cstdlib>
 #include <deque>
 #include <fstream>
-#include <functional>
 #include <future>
 #include <iomanip>
 #include <iostream>
@@ -73,14 +72,12 @@ using pipeline::Session;
 struct Args {
   std::string program_file;
   std::string cfg_file;
-  bool route_chain = false;  ///< --grammar: pick the construction via the
-                             ///< Section 5 dichotomy planner
   std::string facts_file;
   std::string graph_file;
   std::string batch_file;
   std::string updates_file;
   std::string semiring = "boolean";
-  std::string construction = "grounded";
+  std::string construction = "grounded";  ///< a Construction name or "auto"
   std::string format = "text";
   std::string snapshot_dir;
   std::string requests_file;
@@ -139,11 +136,7 @@ run flags:
   --program FILE       Datalog program (src/datalog/parser.h syntax)
   --cfg FILE           CFG workload instead (src/lang ParseCfgText syntax),
                        converted to chain Datalog via Proposition 5.2
-  --grammar FILE       like --cfg, but routed through the Section 5
-                       dichotomy planner: finite chain languages compile to
-                       the finite-RPQ construction (Thm 5.8, depth O(log n)),
-                       infinite ones to grounded (Thms 5.6/5.7); overrides
-                       --construction
+  --grammar FILE       shorthand for --cfg FILE --construction auto
   --facts FILE         EDB as ground facts, e.g. `E(s,u1). E(u1,t).`
   --graph FILE         EDB as edge CSV: `src,dst[,label]` per line
   --batch FILE         tagging CSV: one lane per line, one value per EDB fact
@@ -230,10 +223,11 @@ serve protocol (one JSON object per line; `id` is echoed back):
    query fact; a lane explains that lane's current epoch-consistent tagging,
    inline tags evaluate on the spot; budget overruns set "truncated": true)
   optional per-request: "semiring", "construction", "query", "id"
-  ("construction": "chain" resolves through the dichotomy planner per the
-   request's semiring, like --grammar; "construction": "auto" through the
-   cost-based planner; "metrics" returns the Prometheus text exposition of
-   the obs registry as one JSON string)
+  ("construction": "auto" asks the cost-based planner for the request's
+   semiring; without "construction", a request under another semiring
+   resolves the --construction default again for that semiring; "metrics"
+   returns the Prometheus text exposition of the obs registry as one JSON
+   string)
 )usage";
   return code;
 }
@@ -253,6 +247,34 @@ bool ReadFile(const std::string& path, std::string* out, std::string* error) {
 int Fail(const std::string& message) {
   std::cerr << "dlcirc: " << message << "\n";
   return 1;
+}
+
+/// The one construction resolver, for `run`, `serve`'s startup default and
+/// a serve request's "construction": a construction name, or "auto" for the
+/// cost-based planner's pick under `semiring`'s traits.
+Result<pipeline::Construction> ResolveConstruction(Session& session,
+                                                   const std::string& name,
+                                                   const std::string& semiring) {
+  using Out = Result<pipeline::Construction>;
+  if (name == "auto") {
+    pipeline::Construction c = pipeline::Construction::kGrounded;
+    if (!pipeline::DispatchSemiring(semiring, [&]<Semiring S>() {
+          c = session.PlanConstruction(pipeline::SemiringTraits::For<S>())
+                  .construction;
+        })) {
+      return Out::Error("unknown semiring `" + semiring + "`");
+    }
+    return c;
+  }
+  Out parsed = pipeline::ParseConstruction(name);
+  if (parsed.ok()) return parsed;
+  std::string names = "auto";
+  for (uint32_t i = 0; i < pipeline::kNumConstructions; ++i) {
+    names += ", " + std::string(pipeline::ConstructionName(
+                        static_cast<pipeline::Construction>(i)));
+  }
+  return Out::Error("unknown construction `" + name + "` (one of: " + names +
+                    ")");
 }
 
 /// "T(s,t)" -> pred "T", constants {"s","t"}.
@@ -411,21 +433,15 @@ int RunTyped(const Args& args, Session& session) {
   }
 
   // Compile explicitly so the narration can show plan provenance; the
-  // Server's burst then hits the store. With --grammar the construction
-  // comes from the dichotomy planner (finite language + plus-idempotent
-  // semiring -> finite-rpq, else grounded), not the flag; with
-  // --construction auto it comes from the cost-based planner. --explain
-  // renders the planner's plan tree even when the construction is forced,
-  // so a forced run still documents what the planner would have picked.
+  // Server's burst then hits the store. --explain renders the planner's
+  // plan tree even when the construction is forced, so a forced run still
+  // documents what the planner would have picked.
   std::optional<pipeline::RouteDecision> decision;
-  if (args.explain || (!args.route_chain && args.construction == "auto")) {
+  if (args.explain) {
     decision = session.PlanConstruction(pipeline::SemiringTraits::For<S>());
   }
   Result<pipeline::Construction> construction =
-      args.route_chain ? session.RouteChainConstruction(S::kIsIdempotent)
-      : args.construction == "auto"
-          ? Result<pipeline::Construction>(decision->construction)
-          : pipeline::ParseConstruction(args.construction);
+      ResolveConstruction(session, args.construction, args.semiring);
   if (!construction.ok()) return Fail(construction.error());
   pipeline::PlanKey key = pipeline::PlanKey::For<S>(construction.value());
   // With a snapshot directory the store warm-starts off disk when a valid
@@ -549,15 +565,10 @@ int RunTyped(const Args& args, Session& session) {
                 << num_facts << " EDB facts\n"
                 << "grounding: " << g.num_idb_facts() << " IDB facts, "
                 << g.rules().size() << " ground rules (size " << g.TotalSize()
-                << ")\n";
-      if (args.route_chain) {
-        std::cout << "route: "
-                  << pipeline::RouteReason(session.chain_route().value(),
-                                           S::kIsIdempotent)
-                  << "\n";
-      }
-      std::cout << "construction: " << pipeline::ConstructionName(key.construction)
-                << ", " << plan.layers_used
+                << ")\n"
+                << "construction: "
+                << pipeline::ConstructionName(key.construction) << ", "
+                << plan.layers_used
                 << (key.construction == pipeline::Construction::kGrounded
                         ? " ICO layers"
                         : key.construction == pipeline::Construction::kFiniteRpq
@@ -636,12 +647,6 @@ int RunTyped(const Args& args, Session& session) {
                        *decision, pipeline::SemiringTraits::For<S>())
                 << ",\n";
     }
-    if (args.route_chain) {
-      std::cout << "  \"route\": \""
-                << JsonEscape(pipeline::RouteReason(
-                       session.chain_route().value(), S::kIsIdempotent))
-                << "\",\n";
-    }
     std::cout
               << "  \"circuit\": {\"size\": " << plan.circuit.Size()
               << ", \"depth\": " << plan.circuit.Depth()
@@ -692,8 +697,7 @@ int RunTyped(const Args& args, Session& session) {
          << "profile: phase table (ms)\n"
          << "  parse       " << ph.parse_ms << "\n"
          << "  ground      " << ph.ground_ms << "\n"
-         << "  route       " << ph.route_ms
-         << (args.route_chain ? "" : "   (chain planner not used)") << "\n"
+         << "  route       " << ph.route_ms << "\n"
          << "  construct   " << ph.construct_ms << "\n"
          << "  passes      " << ph.passes_ms << "\n"
          << "  plan-build  " << ph.plan_build_ms << "\n"
@@ -1014,8 +1018,6 @@ struct ServeContext {
       pipeline::Construction::kGrounded;
   std::vector<uint32_t> default_facts;
   std::shared_ptr<const std::vector<std::string>> default_fact_names;
-  /// Cost-based "auto" resolution for one semiring name; false = unknown.
-  std::function<bool(const std::string&, pipeline::Construction*)> plan_auto;
 };
 
 /// One translated request line. `submit` means `request` goes to the broker
@@ -1093,68 +1095,26 @@ Translated TranslateServeLine(const ServeContext& ctx, const std::string& line,
     }
     request.semiring = s->text;
   }
-  bool bad = false;
-  // Dichotomy resolution for this request's semiring (the finite branch
-  // needs idempotent plus). chain_route() was warmed at startup, so this is
-  // a read-only resolution. Returns false after setting the error line.
-  auto resolve_chain = [&](pipeline::Construction* out) {
-    bool idempotent = false;
-    if (!pipeline::DispatchSemiring(request.semiring, [&]<Semiring S>() {
-          idempotent = S::kIsIdempotent;
-        })) {
-      set_fail("unknown semiring `" + request.semiring + "`");
-      return false;
-    }
-    Result<pipeline::Construction> routed =
-        session.RouteChainConstruction(idempotent);
-    if (!routed.ok()) {
-      set_fail(routed.error());
-      return false;
-    }
-    *out = routed.value();
-    return true;
-  };
-  // Cost-based resolution for this request's semiring, mirroring
-  // resolve_chain: planner_context() was warmed at startup, so this is a
-  // read-only resolution. Returns false after setting the error line.
-  auto resolve_auto = [&](pipeline::Construction* out) {
-    if (!ctx.plan_auto(request.semiring, out)) {
-      set_fail("unknown semiring `" + request.semiring + "`");
-      return false;
-    }
-    return true;
-  };
+  // A named construction (or "auto") resolves for this request's semiring.
+  // Without one, a request under another semiring resolves --construction
+  // again (an "auto" default was planned for --semiring's traits: counting
+  // must not inherit a finite-RPQ pick); every other request keeps the
+  // default resolved once at startup.
   const serve::JsonValue* c = json.Find("construction");
-  if (c != nullptr) {
-    if (!c->IsString()) {
-      set_fail("\"construction\" must be a string");
+  if (c != nullptr && !c->IsString()) {
+    set_fail("\"construction\" must be a string");
+    return t;
+  }
+  if (c != nullptr || request.semiring != args.semiring) {
+    Result<pipeline::Construction> resolved = ResolveConstruction(
+        session, c != nullptr ? c->text : args.construction, request.semiring);
+    if (!resolved.ok()) {
+      set_fail(resolved.error());
       return t;
     }
-    if (c->text == "chain") {
-      if (!resolve_chain(&request.construction)) return t;
-    } else if (c->text == "auto") {
-      if (!resolve_auto(&request.construction)) return t;
-    } else {
-      Result<pipeline::Construction> parsed_c =
-          pipeline::ParseConstruction(c->text);
-      if (!parsed_c.ok()) {
-        set_fail(parsed_c.error());
-        return t;
-      }
-      request.construction = parsed_c.value();
-    }
-  } else if (request.semiring != args.semiring &&
-             (args.route_chain || args.construction == "auto")) {
-    // Routed default + a per-request semiring override: the startup
-    // default was routed for --semiring's traits; re-route for this one
-    // so e.g. counting lands on grounded instead of failing the
-    // finite-RPQ idempotence gate.
-    if (args.route_chain) {
-      if (!resolve_chain(&request.construction)) return t;
-    } else {
-      if (!resolve_auto(&request.construction)) return t;
-    }
+    request.construction = resolved.value();
   }
+  bool bad = false;
   if (const serve::JsonValue* lane = json.Find("lane")) {
     if (!lane->IsString()) {
       set_fail("\"lane\" must be a string");
@@ -1473,46 +1433,14 @@ int Serve(const Args& args) {
   Session session = std::move(session_r).value();
   const uint32_t num_facts = session.db().num_facts();
 
-  bool default_idempotent = false;
-  if (!pipeline::DispatchSemiring(args.semiring, [&]<Semiring S>() {
-        default_idempotent = S::kIsIdempotent;
-      })) {
+  if (!pipeline::DispatchSemiring(args.semiring, []<Semiring S>() {})) {
     return Fail("unknown --semiring `" + args.semiring + "`");
   }
-  // Warm the planner context (which forces the dichotomy analysis too) on
-  // the foreground thread, BEFORE any dispatcher exists: per-request
-  // "construction": "chain"/"auto" resolution reads it from this thread
-  // while dispatchers compile through it, and only a pre-populated cache
-  // makes those reads race-free. Non-chain programs cache the dichotomy
-  // planner's error the same way.
-  session.planner_context();
-  // Cost-based resolution for one semiring name (per-request "auto" and the
-  // --construction auto default). Pure reads over the warmed context.
-  auto plan_auto = [&](const std::string& semiring,
-                       pipeline::Construction* out) {
-    return pipeline::DispatchSemiring(semiring, [&]<Semiring S>() {
-      *out = session.PlanConstruction(pipeline::SemiringTraits::For<S>())
-                 .construction;
-    });
-  };
-  Result<pipeline::Construction> default_construction = [&] {
-    if (args.route_chain) {
-      return session.RouteChainConstruction(default_idempotent);
-    }
-    if (args.construction == "auto") {
-      pipeline::Construction c = pipeline::Construction::kGrounded;
-      plan_auto(args.semiring, &c);  // semiring validated above
-      return Result<pipeline::Construction>(c);
-    }
-    return pipeline::ParseConstruction(args.construction);
-  }();
+  // Resolved once here; requests that name neither a construction nor
+  // another semiring keep it, so no planner call runs per request.
+  Result<pipeline::Construction> default_construction =
+      ResolveConstruction(session, args.construction, args.semiring);
   if (!default_construction.ok()) return Fail(default_construction.error());
-  if (args.route_chain && !args.quiet) {
-    std::cerr << "dlcirc serve: route: "
-              << pipeline::RouteReason(session.chain_route().value(),
-                                       default_idempotent)
-              << "\n";
-  }
   if (args.explain) {
     pipeline::DispatchSemiring(args.semiring, [&]<Semiring S>() {
       const pipeline::SemiringTraits traits = pipeline::SemiringTraits::For<S>();
@@ -1576,7 +1504,6 @@ int Serve(const Args& args) {
   ctx.default_construction = default_construction.value();
   ctx.default_facts = default_facts;
   ctx.default_fact_names = default_fact_names;
-  ctx.plan_auto = plan_auto;
 
   if (!args.listen.empty()) return ServeListen(args, ctx, server, store);
 
@@ -1699,15 +1626,11 @@ int Main(int argc, char** argv) {
       args.program_file = v.value();
     } else if (flag == "--cfg") {
       if (!(v = value(i, "--cfg")).ok()) return Fail(v.error());
-      if (args.route_chain) return Fail("pass exactly one of --cfg or --grammar");
       args.cfg_file = v.value();
     } else if (flag == "--grammar") {
       if (!(v = value(i, "--grammar")).ok()) return Fail(v.error());
-      if (!args.cfg_file.empty() && !args.route_chain) {
-        return Fail("pass exactly one of --cfg or --grammar");
-      }
       args.cfg_file = v.value();
-      args.route_chain = true;
+      args.construction = "auto";
     } else if (flag == "--facts") {
       if (!(v = value(i, "--facts")).ok()) return Fail(v.error());
       args.facts_file = v.value();
