@@ -55,15 +55,6 @@ struct DeltaRow {
   size_t fallbacks = 0;
 };
 
-/// Variables the plan actually reads (the optimizer may have pruned input
-/// gates); deltas are drawn from these so every update is a live one.
-std::vector<uint32_t> LiveVars(const EvalPlan& plan) {
-  std::vector<uint32_t> live;
-  for (uint32_t v = 0; v < plan.num_vars(); ++v) {
-    if (plan.var_starts()[v + 1] > plan.var_starts()[v]) live.push_back(v);
-  }
-  return live;
-}
 
 /// Applies `num_updates` random k-tag deltas to a materialized state and
 /// averages time and touched gates. Updates persist (each builds on the
@@ -74,7 +65,9 @@ DeltaRow RunDeltas(const IncrementalEvaluator& inc, const EvalPlan& plan,
                    MakeValue&& make_value) {
   DeltaRow row;
   size_t recomputed = 0;
-  const std::vector<uint32_t> live = LiveVars(plan);
+  // Variables the plan actually reads (the optimizer may have pruned input
+  // gates): deltas are drawn from these so every update is a live one.
+  const std::vector<uint32_t>& live = plan.input_vars();
   double total_ms = TimeMs(1, [&] {
     for (int u = 0; u < num_updates; ++u) {
       TagDelta<S> delta;
@@ -236,7 +229,7 @@ int main(int argc, char** argv) {
     Rng drng(31);
     size_t recomputed = 0, fallbacks = 0;
     const int poly_updates = small ? 8 : 32;
-    const std::vector<uint32_t> live = LiveVars(pplan);
+    const std::vector<uint32_t>& live = pplan.input_vars();
     double ms = TimeMs(1, [&] {
       for (int u = 0; u < poly_updates; ++u) {
         uint32_t var = live[drng.NextBounded(live.size())];

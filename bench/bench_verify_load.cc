@@ -1,13 +1,13 @@
-// E20 — verify-on-load overhead: serve::LoadPlan runs the full structural
-// verifier (src/analysis/verify.h) over every snapshot before the bytes can
-// reach the evaluator. The claim: in steady-state serving, verification
+// E20 — verify-on-load overhead: serve::LoadPlan runs the circuit verifier
+// (analysis::VerifyCircuitParts, src/analysis/verify.h) over every
+// snapshot's stored circuit before constructing it and rebuilding its plan
+// with EvalPlan::Build. The claim: in steady-state serving, verification
 // costs under 5% of LoadPlan wall time, so "always verify" is the right
 // default, not a debug-only luxury.
 //
 // The mechanism behind the claim is verify-once-per-file memoization: the
-// first load of a snapshot pays the full fused verification scan (reported
-// here honestly as the cold share — it is NOT under 5%; a single streaming
-// pass over every gate cannot be noise against decode alone), and every
+// first load of a snapshot pays one verification pass over the circuit's
+// gates (reported here as the cold share, which is not gated), and every
 // later load of the unchanged file skips it, because the verifier is a pure
 // function of bytes the process has already accepted. A serving process
 // reloads the same shard files repeatedly (store reopen, epoch bumps, lane

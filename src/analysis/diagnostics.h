@@ -1,10 +1,10 @@
 // Structured diagnostics: the one vocabulary every static-analysis surface
 // in the repo speaks — parser errors (src/datalog/parser, src/lang), the
-// program linter (src/analysis/lint.h), and the plan/circuit verifier
+// program linter (src/analysis/lint.h), and the circuit verifier
 // (src/analysis/verify.h).
 //
 // A Diagnostic is a machine-readable finding: a stable dotted code
-// ("parse.unsafe-rule", "verify.csr-inverse"), a severity, an optional
+// ("parse.unsafe-rule", "verify.topological-order"), a severity, an optional
 // source span (1-based line/col; 0 = unknown), a one-line message, and an
 // optional note carrying the elaboration or theorem reference. Renderers
 // produce a deterministic text form (one finding per line, suitable for

@@ -10,23 +10,11 @@ namespace analysis {
 
 namespace {
 
-/// Collects findings up to kMaxFindings, then records one truncation note.
+/// Collects error findings up to kMaxFindings, then records one truncation
+/// note.
 class Reporter {
  public:
   void Error(const char* code, std::string message, std::string note = {}) {
-    Add(Severity::kError, code, std::move(message), std::move(note));
-  }
-  void Warning(const char* code, std::string message, std::string note = {}) {
-    Add(Severity::kWarning, code, std::move(message), std::move(note));
-  }
-
-  bool has_errors() const { return has_errors_; }
-  std::vector<Diagnostic> Take() { return std::move(findings_); }
-
- private:
-  void Add(Severity severity, const char* code, std::string message,
-           std::string note) {
-    if (severity == Severity::kError) has_errors_ = true;
     if (findings_.size() >= kMaxFindings) {
       if (!truncated_) {
         truncated_ = true;
@@ -38,34 +26,23 @@ class Reporter {
       return;
     }
     findings_.push_back(
-        {code, severity, {}, std::move(message), std::move(note)});
+        {code, Severity::kError, {}, std::move(message), std::move(note)});
   }
 
+  std::vector<Diagnostic> Take() { return std::move(findings_); }
+
+ private:
   std::vector<Diagnostic> findings_;
   bool truncated_ = false;
-  bool has_errors_ = false;
 };
 
-std::string Slot(size_t s) { return "slot " + std::to_string(s); }
+}  // namespace
 
-/// Borrowed view over a plan's index arrays: one verifier body serves both
-/// raw snapshot Parts and a built EvalPlan without copying the (potentially
-/// multi-megabyte) vectors.
-struct PlanView {
-  const std::vector<Gate>& gates;
-  const std::vector<uint32_t>& layer_starts;
-  const std::vector<uint32_t>& output_slots;
-  const std::vector<uint32_t>& dep_starts;
-  const std::vector<uint32_t>& dependents;
-  const std::vector<uint32_t>& var_starts;
-  const std::vector<uint32_t>& var_input_slots;
-  const std::vector<uint32_t>& layer_of;
-  uint32_t num_vars;
-};
-
-void VerifyGateArena(const std::vector<Gate>& gates, uint32_t num_vars,
-                     bool child_is_slot, Reporter& report) {
-  const char* unit = child_is_slot ? "slot" : "gate";
+std::vector<Diagnostic> VerifyCircuitParts(const std::vector<Gate>& gates,
+                                           const std::vector<GateId>& outputs,
+                                           uint32_t num_vars) {
+  Reporter report;
+  const auto gate = [](size_t i) { return "gate " + std::to_string(i); };
   for (size_t i = 0; i < gates.size(); ++i) {
     const Gate& g = gates[i];
     switch (g.kind) {
@@ -75,7 +52,7 @@ void VerifyGateArena(const std::vector<Gate>& gates, uint32_t num_vars,
       case GateKind::kInput:
         if (g.a >= num_vars) {
           report.Error("verify.input-var-range",
-                       Slot(i) + ": input variable x" + std::to_string(g.a) +
+                       gate(i) + ": input variable x" + std::to_string(g.a) +
                            " out of range (num_vars " +
                            std::to_string(num_vars) + ")");
         }
@@ -85,375 +62,18 @@ void VerifyGateArena(const std::vector<Gate>& gates, uint32_t num_vars,
         if (g.a >= i || g.b >= i) {
           report.Error(
               "verify.topological-order",
-              Slot(i) + ": child " + unit + " " +
-                  std::to_string(g.a >= i ? g.a : g.b) +
+              gate(i) + ": child gate " + std::to_string(g.a >= i ? g.a : g.b) +
                   " does not precede its parent (children must be strictly "
                   "earlier in topological order)");
         }
         break;
       default:
         report.Error("verify.gate-kind",
-                     Slot(i) + ": invalid gate kind " +
+                     gate(i) + ": invalid gate kind " +
                          std::to_string(static_cast<int>(g.kind)));
         break;
     }
   }
-}
-
-/// The structural checks every other invariant indexes through: array sizes
-/// and CSR offset monotonicity. Returns false when later checks cannot run
-/// without out-of-bounds reads.
-bool VerifyPlanShape(const PlanView& v, Reporter& report) {
-  const size_t n = v.gates.size();
-  bool ok = true;
-  if (v.layer_starts.size() < 2) {
-    report.Error("verify.layer-bounds",
-                 "layer_starts has " + std::to_string(v.layer_starts.size()) +
-                     " entries; a plan needs at least one layer");
-    ok = false;
-  } else {
-    if (v.layer_starts.front() != 0) {
-      report.Error("verify.layer-bounds",
-                   "layer_starts must begin at slot 0, begins at " +
-                       std::to_string(v.layer_starts.front()));
-      ok = false;
-    }
-    if (v.layer_starts.back() != n) {
-      report.Error("verify.layer-bounds",
-                   "layer_starts must end at num_slots " + std::to_string(n) +
-                       ", ends at " + std::to_string(v.layer_starts.back()));
-      ok = false;
-    }
-    for (size_t l = 0; l + 1 < v.layer_starts.size(); ++l) {
-      if (v.layer_starts[l] > v.layer_starts[l + 1]) {
-        report.Error("verify.layer-order",
-                     "layer boundary " + std::to_string(l + 1) +
-                         " decreases: layer_starts must be non-decreasing");
-        ok = false;
-        break;
-      }
-    }
-  }
-  if (v.layer_of.size() != n) {
-    report.Error("verify.layer-inverse",
-                 "layer_of has " + std::to_string(v.layer_of.size()) +
-                     " entries for " + std::to_string(n) + " slots");
-    ok = false;
-  }
-  if (v.dep_starts.size() != n + 1) {
-    report.Error("verify.csr-offsets",
-                 "dep_starts has " + std::to_string(v.dep_starts.size()) +
-                     " entries; want num_slots + 1 = " + std::to_string(n + 1));
-    ok = false;
-  } else {
-    if (v.dep_starts.front() != 0 || v.dep_starts.back() != v.dependents.size()) {
-      report.Error("verify.csr-offsets",
-                   "dep_starts must span [0, " +
-                       std::to_string(v.dependents.size()) +
-                       "] (the dependents array)");
-      ok = false;
-    }
-    for (size_t s = 0; s + 1 < v.dep_starts.size(); ++s) {
-      if (v.dep_starts[s] > v.dep_starts[s + 1]) {
-        report.Error("verify.csr-offsets",
-                     "dep_starts decreases at " + Slot(s + 1) +
-                         ": CSR offsets must be non-decreasing");
-        ok = false;
-        break;
-      }
-    }
-  }
-  if (v.var_starts.size() != static_cast<size_t>(v.num_vars) + 1) {
-    report.Error("verify.var-offsets",
-                 "var_starts has " + std::to_string(v.var_starts.size()) +
-                     " entries; want num_vars + 1 = " +
-                     std::to_string(static_cast<size_t>(v.num_vars) + 1));
-    ok = false;
-  } else {
-    if (v.var_starts.front() != 0 ||
-        v.var_starts.back() != v.var_input_slots.size()) {
-      report.Error("verify.var-offsets",
-                   "var_starts must span [0, " +
-                       std::to_string(v.var_input_slots.size()) +
-                       "] (the var_input_slots array)");
-      ok = false;
-    }
-    for (size_t x = 0; x + 1 < v.var_starts.size(); ++x) {
-      if (v.var_starts[x] > v.var_starts[x + 1]) {
-        report.Error("verify.var-offsets",
-                     "var_starts decreases at variable x" + std::to_string(x + 1) +
-                         ": CSR offsets must be non-decreasing");
-        ok = false;
-        break;
-      }
-    }
-  }
-  return ok;
-}
-
-/// One fused streaming pass over the plan that decides "would the reporting
-/// path below find any error?" without building a single message. The error
-/// sets are exactly equivalent:
-///   - the shape prechecks mirror VerifyPlanShape;
-///   - layer_of is checked against a layer index advanced in slot order
-///     (layer_starts is already known monotone), which is the layer-inverse
-///     check without the nested loop;
-///   - a kPlus/kTimes child below the current layer's start slot is the
-///     child-in-strictly-lower-layer check, and — since the layer start
-///     never exceeds the slot — it subsumes the topological-order check;
-///   - the dependents / var_input_slots CSR indexes are replayed with
-///     cursors exactly as the reporting path does, which also subsumes their
-///     range checks: an out-of-range entry can never equal the parent slot
-///     the replay expects at its position, and every position is visited or
-///     left under a cursor the final fullness check catches.
-/// A clean plan (the only case on a healthy serving path) therefore costs
-/// one pass + the two cursor arrays; a dirty plan falls through to the slow
-/// reporting passes for its deterministic diagnostics.
-bool FastPlanClean(const PlanView& v) {
-  const size_t n = v.gates.size();
-  const size_t bounds = v.layer_starts.size();
-  if (bounds < 2 || v.layer_starts.front() != 0 || v.layer_starts.back() != n) {
-    return false;
-  }
-  for (size_t l = 0; l + 1 < bounds; ++l) {
-    if (v.layer_starts[l] > v.layer_starts[l + 1]) return false;
-  }
-  if (v.layer_of.size() != n) return false;
-  if (v.dep_starts.size() != n + 1 || v.dep_starts.front() != 0 ||
-      v.dep_starts.back() != v.dependents.size()) {
-    return false;
-  }
-  for (size_t s = 0; s < n; ++s) {
-    if (v.dep_starts[s] > v.dep_starts[s + 1]) return false;
-  }
-  if (v.var_starts.size() != static_cast<size_t>(v.num_vars) + 1 ||
-      v.var_starts.front() != 0 ||
-      v.var_starts.back() != v.var_input_slots.size()) {
-    return false;
-  }
-  for (size_t x = 0; x < v.num_vars; ++x) {
-    if (v.var_starts[x] > v.var_starts[x + 1]) return false;
-  }
-  for (uint32_t s : v.output_slots) {
-    if (s >= n) return false;
-  }
-
-  std::vector<uint32_t> cursor(v.dep_starts.begin(), v.dep_starts.end() - 1);
-  std::vector<uint32_t> vcursor(v.var_starts.begin(), v.var_starts.end() - 1);
-  const Gate* gates = v.gates.data();
-  const uint32_t* dep_starts = v.dep_starts.data();
-  const uint32_t* dependents = v.dependents.data();
-  uint32_t* cur = cursor.data();
-  size_t layer = 0;
-  uint32_t layer_start = 0;
-  for (size_t s = 0; s < n; ++s) {
-    while (layer + 2 < bounds && v.layer_starts[layer + 1] <= s) {
-      ++layer;
-      layer_start = v.layer_starts[layer];
-    }
-    if (v.layer_of[s] != layer) return false;
-    const Gate& g = gates[s];
-    switch (g.kind) {
-      case GateKind::kZero:
-      case GateKind::kOne:
-        break;
-      case GateKind::kInput: {
-        const uint32_t x = g.a;
-        if (x >= v.num_vars) return false;
-        const uint32_t c = vcursor[x];
-        if (c >= v.var_starts[x + 1] || v.var_input_slots[c] != s) return false;
-        vcursor[x] = c + 1;
-        break;
-      }
-      case GateKind::kPlus:
-      case GateKind::kTimes: {
-        if (g.a >= layer_start || g.b >= layer_start) return false;
-        const uint32_t ca = cur[g.a];
-        if (ca >= dep_starts[g.a + 1] || dependents[ca] != s) return false;
-        cur[g.a] = ca + 1;
-        const uint32_t cb = cur[g.b];
-        if (cb >= dep_starts[g.b + 1] || dependents[cb] != s) return false;
-        cur[g.b] = cb + 1;
-        break;
-      }
-      default:
-        return false;
-    }
-  }
-  for (size_t s = 0; s < n; ++s) {
-    if (cur[s] != v.dep_starts[s + 1]) return false;
-  }
-  for (size_t x = 0; x < v.num_vars; ++x) {
-    if (vcursor[x] != v.var_starts[x + 1]) return false;
-  }
-  return true;
-}
-
-// Output-cone reachability: dead slots are harmless for soundness but
-// waste every evaluation sweep; a compacted plan (EvalPlan::Build) never
-// has them, so their presence flags a foreign or corrupted producer.
-void VerifyOutputCone(const PlanView& v, Reporter& report) {
-  const size_t n = v.gates.size();
-  std::vector<uint8_t> reachable(n, 0);
-  for (uint32_t s : v.output_slots) reachable[s] = 1;
-  size_t live = 0;
-  for (size_t s = n; s-- > 0;) {
-    if (!reachable[s]) continue;
-    ++live;
-    const Gate& g = v.gates[s];
-    if (g.kind == GateKind::kPlus || g.kind == GateKind::kTimes) {
-      reachable[g.a] = 1;
-      reachable[g.b] = 1;
-    }
-  }
-  if (live < n) {
-    report.Warning("verify.output-cone",
-                   std::to_string(n - live) +
-                       " slot(s) unreachable from any output",
-                   "every sweep evaluates them for nothing; EvalPlan::Build "
-                   "compacts plans to the output cone");
-  }
-}
-
-void VerifyPlanView(const PlanView& v, Reporter& report,
-                    const VerifyOptions& options) {
-  const size_t n = v.gates.size();
-
-  if (FastPlanClean(v)) {
-    if (!options.errors_only) VerifyOutputCone(v, report);
-    return;
-  }
-
-  VerifyGateArena(v.gates, v.num_vars, /*child_is_slot=*/true, report);
-  const bool arena_ok = !report.has_errors();
-  if (!VerifyPlanShape(v, report)) return;
-
-  // layer_of must be the exact inverse of the layer_starts partition.
-  for (size_t l = 0; l + 1 < v.layer_starts.size(); ++l) {
-    for (uint32_t s = v.layer_starts[l]; s < v.layer_starts[l + 1]; ++s) {
-      if (v.layer_of[s] != l) {
-        report.Error("verify.layer-inverse",
-                     Slot(s) + ": layer_of says layer " +
-                         std::to_string(v.layer_of[s]) +
-                         " but layer_starts places it in layer " +
-                         std::to_string(l));
-      }
-    }
-  }
-
-  // Children must live in strictly lower layers (the layer-barrier
-  // parallelism contract), outputs/index entries must be valid slots.
-  if (arena_ok) {
-    for (size_t s = 0; s < n; ++s) {
-      const Gate& g = v.gates[s];
-      if (g.kind != GateKind::kPlus && g.kind != GateKind::kTimes) continue;
-      if (v.layer_of[g.a] >= v.layer_of[s] || v.layer_of[g.b] >= v.layer_of[s]) {
-        report.Error("verify.layer-order",
-                     Slot(s) + " (layer " + std::to_string(v.layer_of[s]) +
-                         "): child in the same or a later layer breaks the "
-                         "layer-barrier evaluation contract");
-      }
-    }
-  }
-  for (uint32_t s : v.output_slots) {
-    if (s >= n) {
-      report.Error("verify.slot-bounds", "output slot " + std::to_string(s) +
-                                             " out of range (num_slots " +
-                                             std::to_string(n) + ")");
-    }
-  }
-  for (uint32_t s : v.dependents) {
-    if (s >= n) {
-      report.Error("verify.slot-bounds",
-                   "dependents entry " + std::to_string(s) +
-                       " out of range (num_slots " + std::to_string(n) + ")");
-    }
-  }
-  for (uint32_t s : v.var_input_slots) {
-    if (s >= n) {
-      report.Error("verify.slot-bounds",
-                   "var_input_slots entry " + std::to_string(s) +
-                       " out of range (num_slots " + std::to_string(n) + ")");
-    }
-  }
-  if (report.has_errors()) return;
-
-  // The CSR dependents index must be the exact inverse of the forward
-  // edges. EvalPlan::Build fills it with one cursor pass in slot order, so
-  // replaying that pass and comparing is an O(E) equality check: every
-  // parent appears in each child's range, in ascending parent order, and
-  // every range is exactly full.
-  {
-    std::vector<uint32_t> cursor(v.dep_starts.begin(), v.dep_starts.end() - 1);
-    bool mismatch = false;
-    for (uint32_t s = 0; s < n && !mismatch; ++s) {
-      const Gate& g = v.gates[s];
-      if (g.kind != GateKind::kPlus && g.kind != GateKind::kTimes) continue;
-      for (uint32_t child : {g.a, g.b}) {
-        if (cursor[child] >= v.dep_starts[child + 1] ||
-            v.dependents[cursor[child]] != s) {
-          report.Error(
-              "verify.csr-inverse",
-              Slot(child) + ": dependents index is not the inverse of the "
-                            "forward edges (parent " +
-                  std::to_string(s) + " missing or misplaced)");
-          mismatch = true;
-          break;
-        }
-        ++cursor[child];
-      }
-    }
-    for (uint32_t s = 0; s < n && !mismatch; ++s) {
-      if (cursor[s] != v.dep_starts[s + 1]) {
-        report.Error("verify.csr-inverse",
-                     Slot(s) + ": dependents range holds " +
-                         std::to_string(v.dep_starts[s + 1] - cursor[s]) +
-                         " entr(ies) no forward edge accounts for");
-        mismatch = true;
-      }
-    }
-  }
-
-  // var_input_slots must be the exact CSR inverse of the kInput gates.
-  {
-    std::vector<uint32_t> cursor(v.var_starts.begin(), v.var_starts.end() - 1);
-    bool mismatch = false;
-    for (uint32_t s = 0; s < n && !mismatch; ++s) {
-      const Gate& g = v.gates[s];
-      if (g.kind != GateKind::kInput) continue;
-      if (cursor[g.a] >= v.var_starts[g.a + 1] ||
-          v.var_input_slots[cursor[g.a]] != s) {
-        report.Error("verify.var-inverse",
-                     "variable x" + std::to_string(g.a) +
-                         ": var_input_slots is not the inverse of the kInput "
-                         "gates (" + Slot(s) + " missing or misplaced)");
-        mismatch = true;
-        break;
-      }
-      ++cursor[g.a];
-    }
-    for (uint32_t x = 0; x < v.num_vars && !mismatch; ++x) {
-      if (cursor[x] != v.var_starts[x + 1]) {
-        report.Error("verify.var-inverse",
-                     "variable x" + std::to_string(x) +
-                         ": var_input_slots range holds " +
-                         std::to_string(v.var_starts[x + 1] - cursor[x]) +
-                         " entr(ies) naming no kInput gate");
-        mismatch = true;
-      }
-    }
-  }
-
-  if (!options.errors_only) VerifyOutputCone(v, report);
-}
-
-}  // namespace
-
-std::vector<Diagnostic> VerifyCircuitParts(const std::vector<Gate>& gates,
-                                           const std::vector<GateId>& outputs,
-                                           uint32_t num_vars) {
-  Reporter report;
-  VerifyGateArena(gates, num_vars, /*child_is_slot=*/false, report);
   for (GateId o : outputs) {
     if (o >= gates.size()) {
       report.Error("verify.slot-bounds",
@@ -468,26 +88,6 @@ std::vector<Diagnostic> VerifyCircuitParts(const std::vector<Gate>& gates,
 std::vector<Diagnostic> VerifyCircuit(const Circuit& circuit) {
   return VerifyCircuitParts(circuit.gates(), circuit.outputs(),
                             circuit.num_vars());
-}
-
-std::vector<Diagnostic> VerifyParts(const eval::EvalPlan::Parts& parts,
-                                    const VerifyOptions& options) {
-  Reporter report;
-  VerifyPlanView({parts.gates, parts.layer_starts, parts.output_slots,
-                  parts.dep_starts, parts.dependents, parts.var_starts,
-                  parts.var_input_slots, parts.layer_of, parts.num_vars},
-                 report, options);
-  return report.Take();
-}
-
-std::vector<Diagnostic> VerifyPlan(const eval::EvalPlan& plan,
-                                   const VerifyOptions& options) {
-  Reporter report;
-  VerifyPlanView({plan.gates(), plan.layer_starts(), plan.output_slots(),
-                  plan.dep_starts(), plan.dependents(), plan.var_starts(),
-                  plan.var_input_slots(), plan.layer_of(), plan.num_vars()},
-                 report, options);
-  return report.Take();
 }
 
 std::vector<Diagnostic> VerifyPlanKey(const pipeline::PlanKey& key) {
@@ -538,29 +138,6 @@ std::vector<Diagnostic> VerifyPlanKey(const pipeline::PlanKey& key) {
       break;
   }
   return report.Take();
-}
-
-std::vector<Diagnostic> VerifyCompiledPlan(const pipeline::CompiledPlan& plan) {
-  std::vector<Diagnostic> out = VerifyPlanKey(plan.key);
-  std::vector<Diagnostic> circuit = VerifyCircuit(plan.circuit);
-  out.insert(out.end(), circuit.begin(), circuit.end());
-  std::vector<Diagnostic> plan_diags = VerifyPlan(plan.plan);
-  out.insert(out.end(), plan_diags.begin(), plan_diags.end());
-  if (plan.plan.num_outputs() != plan.circuit.outputs().size()) {
-    out.push_back({"verify.cross-check", Severity::kError, {},
-                   "plan serves " + std::to_string(plan.plan.num_outputs()) +
-                       " outputs but its circuit has " +
-                       std::to_string(plan.circuit.outputs().size()),
-                   {}});
-  }
-  if (plan.plan.num_vars() != plan.circuit.num_vars()) {
-    out.push_back({"verify.cross-check", Severity::kError, {},
-                   "plan input space (" + std::to_string(plan.plan.num_vars()) +
-                       " vars) disagrees with its circuit (" +
-                       std::to_string(plan.circuit.num_vars()) + ")",
-                   {}});
-  }
-  return out;
 }
 
 bool Clean(const std::vector<Diagnostic>& diagnostics) {

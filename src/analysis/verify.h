@@ -1,29 +1,26 @@
-// Unified plan/circuit verifier: every structural invariant the evaluator
-// relies on, checked as recoverable diagnostics instead of scattered
-// CHECK-aborts and ad-hoc boolean folds.
+// Circuit verifier: every structural invariant EvalPlan::Build and the
+// Circuit constructor rely on, checked as recoverable diagnostics instead of
+// CHECK-aborts, plus the per-construction semiring preconditions of a
+// PlanKey.
 //
 // Three consumers share these checks:
 //   1. Debug builds re-verify the circuit after every optimizer pass
 //      (Session::Compile wires a PassObserver naming the pass that broke an
 //      invariant).
-//   2. serve::LoadPlan verifies snapshot bytes before EvalPlan::FromParts —
-//      mmap'd untrusted data must never reach the evaluator with an
-//      out-of-bounds slot, and a corrupted file is rejected with a
-//      diagnostic naming the violated invariant (fuzz-tested in
-//      tests/snapshot_fuzz_test.cc).
+//   2. serve::LoadPlan verifies a snapshot's circuit before constructing it
+//      and rebuilding its plan — mmap'd untrusted data must never reach the
+//      evaluator with an out-of-bounds index, and a corrupted file is
+//      rejected with a diagnostic naming the violated invariant
+//      (fuzz-tested in tests/snapshot_fuzz_test.cc). LoadPlan memoizes the
+//      pass per file identity + payload checksum.
 //   3. `dlcirc check --snapshot FILE` reports the same findings to users.
 //
-// Every check is a single O(gates + edges) forward pass. Plan verification
-// first runs a fused silent scan (one pass folds the arena, layer, and CSR
-// inverse checks together); only a plan that fails it takes the slower
-// multi-pass reporting path, so the common clean case pays one streaming
-// pass. LoadPlan additionally memoizes verification per file identity +
-// payload checksum and passes errors_only, which the E20 bench measures
-// (steady-state verify-on-load < 5% of snapshot load time). Findings carry codes
-// verify.* with the invariant named in the message; structural errors are
-// Severity::kError, advisory findings (dead slots outside every output
-// cone) are kWarning. Reporting is capped (kMaxFindings) so a garbage blob
-// cannot produce megabytes of diagnostics.
+// A snapshot stores no plan, so there is no plan to verify: the plan's
+// invariants (layers, CSR indexes) hold by construction of EvalPlan::Build,
+// and tests/eval_test.cc and tests/delta_test.cc pin them. Every check is a
+// single O(gates) forward pass. Findings carry codes verify.* with the
+// invariant named in the message, all Severity::kError. Reporting is capped
+// (kMaxFindings) so a garbage blob cannot produce megabytes of diagnostics.
 #ifndef DLCIRC_ANALYSIS_VERIFY_H_
 #define DLCIRC_ANALYSIS_VERIFY_H_
 
@@ -32,12 +29,10 @@
 
 #include "src/analysis/diagnostics.h"
 #include "src/circuit/circuit.h"
-#include "src/eval/evaluator.h"
 
 namespace dlcirc {
 namespace pipeline {
 struct PlanKey;
-struct CompiledPlan;
 }  // namespace pipeline
 
 namespace analysis {
@@ -45,14 +40,6 @@ namespace analysis {
 /// Findings per Verify* call are capped here; a final note diagnostic
 /// reports the truncation.
 inline constexpr size_t kMaxFindings = 32;
-
-/// Knobs for plan verification. errors_only skips the advisory sweeps
-/// (currently the output-cone reachability warning) — serve::LoadPlan gates
-/// on errors alone, and the cone sweep is a second full pass over the arena
-/// it does not need on the warm-start latency path.
-struct VerifyOptions {
-  bool errors_only = false;
-};
 
 /// Circuit arena well-formedness over raw parts (what a snapshot decoder
 /// holds before it dares construct a Circuit): children strictly precede
@@ -64,39 +51,12 @@ std::vector<Diagnostic> VerifyCircuitParts(const std::vector<Gate>& gates,
 /// The same checks on a built Circuit.
 std::vector<Diagnostic> VerifyCircuit(const Circuit& circuit);
 
-/// EvalPlan invariants over raw serialized parts (again: callable before
-/// FromParts, whose DLCIRC_CHECKs would abort the process):
-///   - layer_starts is a valid partition: size >= 2, starts at 0, ends at
-///     num_slots, non-decreasing;
-///   - layer_of is the exact inverse of layer_starts;
-///   - every kPlus/kTimes child is an earlier slot in a strictly lower
-///     layer; every kInput variable id is in range;
-///   - output_slots / dependents / var_input_slots are in range;
-///   - the CSR dependents index is the exact inverse of the forward edges
-///     (same multiset per slot, in slot order — the order EvalPlan::Build
-///     emits), and dep_starts is a consistent CSR offset array;
-///   - var_starts/var_input_slots is the exact CSR inverse of the kInput
-///     gates (each listed slot is an input of the matching variable);
-///   - (warning) every slot is reachable from some output — dead slots are
-///     evaluated for nothing but are not unsound (skipped under
-///     options.errors_only).
-std::vector<Diagnostic> VerifyParts(const eval::EvalPlan::Parts& parts,
-                                    const VerifyOptions& options = {});
-
-/// The same checks on a built EvalPlan (no copies; reads the accessors).
-std::vector<Diagnostic> VerifyPlan(const eval::EvalPlan& plan,
-                                   const VerifyOptions& options = {});
-
 /// Per-construction semiring-trait preconditions, mirroring the gating in
 /// Session::Compile (theorem-named): kUvg needs absorptive (Thm 6.2),
 /// kFiniteRpq needs plus-idempotent (Thm 5.8), kBellmanFord /
 /// kRepeatedSquaring need absorptive (Thms 5.6/5.7), kBounded needs
 /// plus-idempotent (chain-exact) or absorptive x-idempotent (Cor 4.7).
 std::vector<Diagnostic> VerifyPlanKey(const pipeline::PlanKey& key);
-
-/// Whole-plan verification: circuit + plan + key preconditions + the
-/// circuit<->plan cross-checks (output counts and variable spaces agree).
-std::vector<Diagnostic> VerifyCompiledPlan(const pipeline::CompiledPlan& plan);
 
 /// True iff no finding in `diagnostics` is an error (warnings/notes pass).
 bool Clean(const std::vector<Diagnostic>& diagnostics);

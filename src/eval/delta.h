@@ -241,9 +241,10 @@ class IncrementalEvaluator {
       DLCIRC_CHECK_LT(u.var, state->assignment.size());
       if (S::Eq(state->assignment[u.var], u.value)) continue;
       state->assignment[u.var] = u.value;
-      if (u.var >= plan.num_vars()) continue;
-      for (uint32_t k = plan.var_starts()[u.var];
-           k < plan.var_starts()[u.var + 1]; ++k) {
+      const size_t i = plan.InputVarIndex(u.var);
+      if (i == plan.input_vars().size()) continue;
+      for (uint32_t k = plan.var_starts()[i]; k < plan.var_starts()[i + 1];
+           ++k) {
         const uint32_t s = plan.var_input_slots()[k];
         ++stats.recomputed;
         if (S::Eq(static_cast<typename S::Value>(vals[s]), u.value)) continue;

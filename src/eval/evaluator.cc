@@ -67,10 +67,9 @@ EvalPlan EvalPlan::Build(const Circuit& circuit) {
   plan.output_slots_.reserve(circuit.outputs().size());
   for (GateId o : circuit.outputs()) plan.output_slots_.push_back(slot_of[o]);
 
-  // Reverse adjacency (slot -> dependents) and variable -> input-slot index,
-  // both CSR, both by counting sort. Computed here, alongside the layers,
-  // so every plan can serve incremental updates (src/eval/delta.h) without
-  // a second compilation step.
+  // Reverse adjacency (slot -> dependents), CSR by counting sort. Computed
+  // here, alongside the layers, so every plan can serve incremental updates
+  // (src/eval/delta.h) without a second compilation step.
   plan.dep_starts_.assign(cone_size + 1, 0);
   for (const Gate& g : plan.gates_) {
     if (g.kind == GateKind::kPlus || g.kind == GateKind::kTimes) {
@@ -78,31 +77,38 @@ EvalPlan EvalPlan::Build(const Circuit& circuit) {
       ++plan.dep_starts_[g.b + 1];
     }
   }
-  plan.var_starts_.assign(static_cast<size_t>(plan.num_vars_) + 1, 0);
-  for (const Gate& g : plan.gates_) {
-    if (g.kind == GateKind::kInput) ++plan.var_starts_[g.a + 1];
-  }
   for (size_t s = 1; s <= cone_size; ++s) {
     plan.dep_starts_[s] += plan.dep_starts_[s - 1];
   }
-  for (size_t v = 1; v <= plan.num_vars_; ++v) {
-    plan.var_starts_[v] += plan.var_starts_[v - 1];
-  }
   plan.dependents_.resize(plan.dep_starts_[cone_size]);
-  plan.var_input_slots_.resize(plan.var_starts_[plan.num_vars_]);
   std::vector<uint32_t> dep_cursor(plan.dep_starts_.begin(),
                                    plan.dep_starts_.end() - 1);
-  std::vector<uint32_t> var_cursor(plan.var_starts_.begin(),
-                                   plan.var_starts_.end() - 1);
+  // Variable -> input-slot index over the variables read (see
+  // input_vars()): the (variable, slot) pairs sorted, then grouped.
+  std::vector<uint64_t> inputs;
   for (uint32_t s = 0; s < cone_size; ++s) {
     const Gate& g = plan.gates_[s];
     if (g.kind == GateKind::kPlus || g.kind == GateKind::kTimes) {
       plan.dependents_[dep_cursor[g.a]++] = s;
       plan.dependents_[dep_cursor[g.b]++] = s;
     } else if (g.kind == GateKind::kInput) {
-      plan.var_input_slots_[var_cursor[g.a]++] = s;
+      inputs.push_back(uint64_t{g.a} << 32 | s);
     }
   }
+  std::sort(inputs.begin(), inputs.end());
+  plan.var_starts_.clear();
+  plan.var_input_slots_.reserve(inputs.size());
+  for (uint64_t input : inputs) {
+    const auto var = static_cast<uint32_t>(input >> 32);
+    if (plan.input_vars_.empty() || plan.input_vars_.back() != var) {
+      plan.input_vars_.push_back(var);
+      plan.var_starts_.push_back(
+          static_cast<uint32_t>(plan.var_input_slots_.size()));
+    }
+    plan.var_input_slots_.push_back(static_cast<uint32_t>(input));
+  }
+  plan.var_starts_.push_back(
+      static_cast<uint32_t>(plan.var_input_slots_.size()));
   plan.DeriveRows();
   return plan;
 }
@@ -156,48 +162,10 @@ void EvalPlan::DeriveRows() {
   }
 }
 
-EvalPlan EvalPlan::FromParts(Parts parts) {
-  const size_t n = parts.gates.size();
-  DLCIRC_CHECK_GE(parts.layer_starts.size(), 2u) << "plan needs >= 1 layer";
-  DLCIRC_CHECK_EQ(parts.layer_starts.front(), 0u);
-  DLCIRC_CHECK_EQ(parts.layer_starts.back(), n);
-  DLCIRC_CHECK_EQ(parts.layer_of.size(), n);
-  DLCIRC_CHECK_EQ(parts.dep_starts.size(), n + 1);
-  DLCIRC_CHECK_EQ(parts.dep_starts.back(), parts.dependents.size());
-  DLCIRC_CHECK_EQ(parts.var_starts.size(),
-                  static_cast<size_t>(parts.num_vars) + 1);
-  DLCIRC_CHECK_EQ(parts.var_starts.back(), parts.var_input_slots.size());
-  EvalPlan plan;
-  plan.num_vars_ = parts.num_vars;
-  plan.gates_ = std::move(parts.gates);
-  plan.layer_starts_ = std::move(parts.layer_starts);
-  plan.output_slots_ = std::move(parts.output_slots);
-  plan.dep_starts_ = std::move(parts.dep_starts);
-  plan.dependents_ = std::move(parts.dependents);
-  plan.var_starts_ = std::move(parts.var_starts);
-  plan.var_input_slots_ = std::move(parts.var_input_slots);
-  plan.layer_of_ = std::move(parts.layer_of);
-  for (size_t l = 0; l + 1 < plan.layer_starts_.size(); ++l) {
-    DLCIRC_CHECK_LE(plan.layer_starts_[l], plan.layer_starts_[l + 1])
-        << "layer_starts must be non-decreasing";
-    plan.max_layer_width_ =
-        std::max<size_t>(plan.max_layer_width_,
-                         plan.layer_starts_[l + 1] - plan.layer_starts_[l]);
-  }
-  for (uint32_t s : plan.output_slots_) DLCIRC_CHECK_LT(s, n);
-  for (uint32_t s : plan.dependents_) DLCIRC_CHECK_LT(s, n);
-  for (uint32_t s : plan.var_input_slots_) DLCIRC_CHECK_LT(s, n);
-  for (size_t i = 0; i < n; ++i) {
-    const Gate& g = plan.gates_[i];
-    if (g.kind == GateKind::kPlus || g.kind == GateKind::kTimes) {
-      DLCIRC_CHECK_LT(g.a, i) << "children precede parents in slot order";
-      DLCIRC_CHECK_LT(g.b, i) << "children precede parents in slot order";
-    } else if (g.kind == GateKind::kInput) {
-      DLCIRC_CHECK_LT(g.a, plan.num_vars_);
-    }
-  }
-  plan.DeriveRows();
-  return plan;
+size_t EvalPlan::InputVarIndex(uint32_t v) const {
+  const auto it = std::lower_bound(input_vars_.begin(), input_vars_.end(), v);
+  if (it == input_vars_.end() || *it != v) return input_vars_.size();
+  return static_cast<size_t>(it - input_vars_.begin());
 }
 
 // Persistent worker pool with a generation barrier: Run publishes a task

@@ -36,28 +36,6 @@ class EvalPlan {
   /// Compiles `circuit` into a plan. O(gates) time and memory.
   static EvalPlan Build(const Circuit& circuit);
 
-  /// The plan's complete serializable state, as produced by the accessors
-  /// below. Exists so external formats (src/serve/snapshot) can persist a
-  /// compiled plan and reconstitute it without recompiling.
-  struct Parts {
-    std::vector<Gate> gates;
-    std::vector<uint32_t> layer_starts;
-    std::vector<uint32_t> output_slots;
-    std::vector<uint32_t> dep_starts;
-    std::vector<uint32_t> dependents;
-    std::vector<uint32_t> var_starts;
-    std::vector<uint32_t> var_input_slots;
-    std::vector<uint32_t> layer_of;
-    uint32_t num_vars = 0;
-  };
-
-  /// Reconstitutes a plan from serialized parts. CHECK-fails on structurally
-  /// inconsistent parts (sizes, monotonicity, slot ranges) — corruption
-  /// beyond what the snapshot checksum caught is a program error, not a
-  /// recoverable condition. max_layer_width and the row map are rederived
-  /// after those checks.
-  static EvalPlan FromParts(Parts parts);
-
   /// Cone gates, slot-indexed; children of kPlus/kTimes are slot ids.
   const std::vector<Gate>& gates() const { return gates_; }
   /// Layer boundaries (size num_layers()+1); layer L is slots
@@ -74,12 +52,21 @@ class EvalPlan {
   const std::vector<uint32_t>& dep_starts() const { return dep_starts_; }
   const std::vector<uint32_t>& dependents() const { return dependents_; }
 
-  /// Input-slot index in CSR layout: the kInput slots reading variable v are
-  /// var_input_slots()[var_starts()[v] .. var_starts()[v+1]). (The builder
-  /// dedups inputs, so each list usually has one entry, but plans built from
-  /// arbitrary arenas may carry duplicates.)
+  /// Input-slot index in CSR layout over the variables the plan reads:
+  /// input_vars() lists them in ascending order, and the kInput slots
+  /// reading input_vars()[i] are
+  /// var_input_slots()[var_starts()[i] .. var_starts()[i+1]), in slot order.
+  /// Keyed by the variables read rather than by variable id, the index is
+  /// sized by the plan's input slots whatever the ids are, so a snapshot's
+  /// 4-byte variable fields cannot make Build allocate past the file's
+  /// gates. (The builder dedups inputs, so each list usually has one entry,
+  /// but plans built from arbitrary arenas may carry duplicates.)
+  const std::vector<uint32_t>& input_vars() const { return input_vars_; }
   const std::vector<uint32_t>& var_starts() const { return var_starts_; }
   const std::vector<uint32_t>& var_input_slots() const { return var_input_slots_; }
+  /// Position of variable v in input_vars(), or input_vars().size() when no
+  /// slot reads v. O(log input_vars()).
+  size_t InputVarIndex(uint32_t v) const;
 
   /// Layer of each slot (the inverse of layer_starts, O(1) per lookup; the
   /// dirty-frontier hot path in src/eval/delta.h cannot afford a binary
@@ -90,7 +77,7 @@ class EvalPlan {
   /// holds only the values still to be read. A slot's row is released after
   /// the last layer that reads it and reused from the next layer on, so no
   /// gate writes a row that a gate of its own layer still reads; rows of
-  /// output slots are never released. Derived, not serialized.
+  /// output slots are never released.
   const std::vector<uint32_t>& row_of() const { return row_of_; }
   /// Row of output k (in the circuit's output order) in a compact sweep.
   uint32_t output_row(size_t k) const { return row_of_[output_slots_[k]]; }
@@ -100,6 +87,7 @@ class EvalPlan {
   size_t num_slots() const { return gates_.size(); }
   size_t num_layers() const { return layer_starts_.size() - 1; }
   size_t num_outputs() const { return output_slots_.size(); }
+  /// The circuit's input space: valid variable ids are [0, num_vars()).
   uint32_t num_vars() const { return num_vars_; }
   /// Widest layer (max gates evaluable concurrently).
   size_t max_layer_width() const { return max_layer_width_; }
@@ -114,6 +102,7 @@ class EvalPlan {
   std::vector<uint32_t> output_slots_;
   std::vector<uint32_t> dep_starts_ = {0};
   std::vector<uint32_t> dependents_;
+  std::vector<uint32_t> input_vars_;
   std::vector<uint32_t> var_starts_ = {0};
   std::vector<uint32_t> var_input_slots_;
   std::vector<uint32_t> layer_of_;

@@ -309,16 +309,6 @@ Result<std::shared_ptr<const CompiledPlan>> Session::Compile(const PlanKey& key)
   t0 = obs::NowNs();
   obs::TraceSpan plan_span("compile", "plan_build");
   compiled->plan = eval::EvalPlan::Build(compiled->circuit);
-#ifndef NDEBUG
-  {
-    std::vector<analysis::Diagnostic> findings =
-        analysis::VerifyPlan(compiled->plan);
-    const analysis::Diagnostic* e = analysis::FirstError(findings);
-    DLCIRC_CHECK(e == nullptr) << "EvalPlan::Build broke a plan invariant ["
-                               << (e ? e->code : "") << "]: "
-                               << (e ? e->message : "");
-  }
-#endif
   plan_span.End();
   phases_.plan_build_ms = MsSince(t0);
   return std::shared_ptr<const CompiledPlan>(std::move(compiled));

@@ -110,7 +110,11 @@ Result<std::shared_ptr<const pipeline::CompiledPlan>> PlanStore::GetOrCompile(
     const uint64_t t0 = obs::NowNs();
     auto loaded =
         LoadPlan(path, store_key.program_digest, store_key.edb_digest, key);
-    if (loaded.ok()) {
+    // Every construction compiles over exactly the EDB's facts, and the
+    // batch kernels size their inputs by the plan's input space, so a
+    // checksum-valid file with another num_vars is a failed load.
+    if (loaded.ok() &&
+        loaded.value()->plan.num_vars() == session.db().num_facts()) {
       const uint64_t load_ns = obs::NowNs() - t0;
       obs_load_ns_->Record(load_ns);
       obs::TraceRecorder::Default().Record("plan_store", "snapshot_load", t0,

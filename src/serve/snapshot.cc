@@ -297,13 +297,12 @@ struct RawSnapshot {
   uint32_t num_vars = 0;
   std::vector<Gate> circuit_gates;
   std::vector<GateId> circuit_outputs;
-  eval::EvalPlan::Parts parts;
 };
 
 /// Header + checksum + payload walk. Returns an error message, or empty on
 /// success. Only reader-level failures (truncation, counts that overrun the
-/// payload) are errors here; whether the decoded arrays satisfy the plan
-/// invariants is the structural verifier's question, asked by the callers.
+/// payload) are errors here; whether the decoded circuit is well formed is
+/// the structural verifier's question, asked by the callers.
 std::string DecodeSnapshot(std::string_view data, RawSnapshot* out) {
   // Header (8) + payload + checksum (8).
   if (data.size() < 16) return "truncated";
@@ -356,18 +355,7 @@ std::string DecodeSnapshot(std::string_view data, RawSnapshot* out) {
   out->num_vars = r.U32();
   out->circuit_gates = r.Gates();
   out->circuit_outputs = r.U32Vector();
-  if (r.failed()) return "malformed circuit section";
-
-  out->parts.num_vars = out->num_vars;
-  out->parts.gates = r.Gates();
-  out->parts.layer_starts = r.U32Vector();
-  out->parts.output_slots = r.U32Vector();
-  out->parts.dep_starts = r.U32Vector();
-  out->parts.dependents = r.U32Vector();
-  out->parts.var_starts = r.U32Vector();
-  out->parts.var_input_slots = r.U32Vector();
-  out->parts.layer_of = r.U32Vector();
-  if (r.failed() || !r.exhausted()) return "malformed plan section";
+  if (r.failed() || !r.exhausted()) return "malformed circuit section";
   return {};
 }
 
@@ -467,15 +455,6 @@ Result<bool> SavePlan(const pipeline::CompiledPlan& plan,
   w.Gates(plan.circuit.gates());
   w.U32Vector(plan.circuit.outputs());
 
-  w.Gates(plan.plan.gates());
-  w.U32Vector(plan.plan.layer_starts());
-  w.U32Vector(plan.plan.output_slots());
-  w.U32Vector(plan.plan.dep_starts());
-  w.U32Vector(plan.plan.dependents());
-  w.U32Vector(plan.plan.var_starts());
-  w.U32Vector(plan.plan.var_input_slots());
-  w.U32Vector(plan.plan.layer_of());
-
   ByteWriter file;
   file.U32(kMagic);
   file.U32(kSnapshotVersion);
@@ -530,38 +509,32 @@ Result<std::shared_ptr<const pipeline::CompiledPlan>> LoadPlan(
   if (!(raw.key == key)) return fail("snapshot is for a different plan key");
   const Clock::time_point t_decoded = Clock::now();
 
-  // The structural verifier stands between the checksum and the evaluator:
-  // a payload that checksums clean (or was re-checksummed by an attacker or
-  // a buggy producer) but violates a plan invariant is rejected here with
-  // the invariant named — EvalPlan::FromParts's CHECKs would abort the
-  // serving process, and Circuit's constructor walks child indices. A file
-  // this process already verified and that has not changed on disk (same
-  // dev/inode/size/mtime AND same payload checksum) skips the pass; any
-  // rewrite changes the identity, so new content is always verified.
+  // The structural verifier stands between the checksum and the Circuit
+  // constructor, whose CHECKs would abort the serving process on a payload
+  // that checksums clean (or was re-checksummed by an attacker or a buggy
+  // producer) but is not a well-formed circuit; such a file is rejected
+  // here with the invariant named. A file this process already verified and
+  // that has not changed on disk (same dev/inode/size/mtime AND same
+  // payload checksum) skips the pass; any rewrite changes the identity, so
+  // new content is always verified.
   const VerifiedSnapshotMemo::Key memo_key =
       VerifiedSnapshotMemo::MakeKey(file.id(), raw.checksum);
   const bool memoized =
       file.id().valid && TheVerifiedSnapshotMemo().Contains(memo_key);
   if (!memoized) {
-    {
-      std::vector<analysis::Diagnostic> findings = analysis::VerifyCircuitParts(
-          raw.circuit_gates, raw.circuit_outputs, raw.num_vars);
-      if (const analysis::Diagnostic* e = analysis::FirstError(findings)) {
-        return fail("circuit invariant violated [" + e->code + "]: " +
-                    e->message);
-      }
-    }
-    {
-      std::vector<analysis::Diagnostic> findings =
-          analysis::VerifyParts(raw.parts, {/*errors_only=*/true});
-      if (const analysis::Diagnostic* e = analysis::FirstError(findings)) {
-        return fail("plan invariant violated [" + e->code + "]: " + e->message);
-      }
+    std::vector<analysis::Diagnostic> findings = analysis::VerifyCircuitParts(
+        raw.circuit_gates, raw.circuit_outputs, raw.num_vars);
+    if (const analysis::Diagnostic* e = analysis::FirstError(findings)) {
+      return fail("circuit invariant violated [" + e->code + "]: " +
+                  e->message);
     }
     if (file.id().valid) TheVerifiedSnapshotMemo().Insert(memo_key);
   }
   const Clock::time_point t_verified = Clock::now();
 
+  // The plan is rebuilt, not stored: EvalPlan::Build is what
+  // Session::Compile runs on the same circuit, so a loaded plan is
+  // bit-identical to a compiled one.
   auto plan = std::make_shared<pipeline::CompiledPlan>();
   plan->key = raw.key;
   plan->layers_used = raw.layers_used;
@@ -570,7 +543,7 @@ Result<std::shared_ptr<const pipeline::CompiledPlan>> LoadPlan(
   plan->pass_stats = std::move(raw.pass_stats);
   plan->circuit = Circuit(std::move(raw.circuit_gates),
                           std::move(raw.circuit_outputs), raw.num_vars);
-  plan->plan = eval::EvalPlan::FromParts(std::move(raw.parts));
+  plan->plan = eval::EvalPlan::Build(plan->circuit);
 
   if (stats != nullptr) {
     stats->decode_ms = MsBetween(t_start, t_decoded);
@@ -596,19 +569,19 @@ Result<SnapshotInfo> InspectSnapshot(const std::string& path) {
   info.edb_digest = raw.edb_digest;
   info.key = raw.key;
   info.num_gates = raw.circuit_gates.size();
-  info.num_slots = raw.parts.gates.size();
-  info.num_layers =
-      raw.parts.layer_starts.size() > 1 ? raw.parts.layer_starts.size() - 1 : 0;
-  info.num_outputs = raw.parts.output_slots.size();
+  info.num_outputs = raw.circuit_outputs.size();
   info.num_vars = raw.num_vars;
 
   info.findings = analysis::VerifyCircuitParts(raw.circuit_gates,
                                                raw.circuit_outputs,
                                                raw.num_vars);
-  std::vector<analysis::Diagnostic> plan_findings =
-      analysis::VerifyParts(raw.parts);
-  info.findings.insert(info.findings.end(), plan_findings.begin(),
-                       plan_findings.end());
+  if (analysis::Clean(info.findings)) {
+    const eval::EvalPlan plan = eval::EvalPlan::Build(
+        Circuit(std::move(raw.circuit_gates), std::move(raw.circuit_outputs),
+                raw.num_vars));
+    info.num_slots = plan.num_slots();
+    info.num_layers = plan.num_layers();
+  }
   std::vector<analysis::Diagnostic> key_findings =
       analysis::VerifyPlanKey(raw.key);
   info.findings.insert(info.findings.end(), key_findings.begin(),

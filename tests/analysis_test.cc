@@ -1,8 +1,8 @@
 // Tests for src/analysis: the diagnostics renderers (deterministic text and
 // JSON, exit-code convention, legacy string form), source spans threaded
 // through the Datalog parser (the unsafe-rule wrong-line regression), the
-// program linter's findings on small fixture programs, the plan/circuit
-// verifier against hand-corrupted structures, and the per-construction
+// program linter's findings on small fixture programs, the circuit verifier
+// against hand-corrupted circuits, and the per-construction
 // semiring-precondition gate.
 
 #include <algorithm>
@@ -266,20 +266,6 @@ TEST(LintTest, RoutingNotesNarrateThePlannerDecision) {
 
 // ----------------------------------------------------------------- verifier
 
-eval::EvalPlan::Parts PartsOf(const eval::EvalPlan& plan) {
-  eval::EvalPlan::Parts parts;
-  parts.gates = plan.gates();
-  parts.layer_starts = plan.layer_starts();
-  parts.output_slots = plan.output_slots();
-  parts.dep_starts = plan.dep_starts();
-  parts.dependents = plan.dependents();
-  parts.var_starts = plan.var_starts();
-  parts.var_input_slots = plan.var_input_slots();
-  parts.layer_of = plan.layer_of();
-  parts.num_vars = plan.num_vars();
-  return parts;
-}
-
 class VerifyTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -291,13 +277,16 @@ class VerifyTest : public ::testing::Test {
     auto compiled = session_->Compile(PlanKey::For<TropicalSemiring>());
     ASSERT_TRUE(compiled.ok()) << compiled.error();
     plan_ = compiled.value();
+    gates_ = plan_->circuit.gates();
+    outputs_ = plan_->circuit.outputs();
   }
 
-  /// Verifies `parts`, expects exactly one finding with `code`, returns it
-  /// (kept alive in last_diags_ for the caller's follow-up assertions).
-  const Diagnostic* SoleErrorOf(const eval::EvalPlan::Parts& parts,
-                                const std::string& code) {
-    last_diags_ = analysis::VerifyParts(parts);
+  /// Verifies the (edited) gates_/outputs_, expects exactly one finding
+  /// with `code`, returns it (kept alive in last_diags_ for the caller's
+  /// follow-up assertions).
+  const Diagnostic* SoleErrorOf(const std::string& code) {
+    last_diags_ = analysis::VerifyCircuitParts(gates_, outputs_,
+                                               plan_->circuit.num_vars());
     EXPECT_EQ(CountCode(last_diags_, code), 1u)
         << analysis::RenderText(last_diags_);
     return FindCode(last_diags_, code);
@@ -305,122 +294,59 @@ class VerifyTest : public ::testing::Test {
 
   std::unique_ptr<Session> session_;
   std::shared_ptr<const pipeline::CompiledPlan> plan_;
+  std::vector<Gate> gates_;
+  std::vector<GateId> outputs_;
   std::vector<Diagnostic> last_diags_;
 };
 
 TEST_F(VerifyTest, RealCompiledPlansVerifyClean) {
-  std::vector<Diagnostic> diags = analysis::VerifyCompiledPlan(*plan_);
-  EXPECT_TRUE(analysis::Clean(diags)) << analysis::RenderText(diags);
-  // A compacted plan has no dead slots either: zero findings, not just zero
-  // errors.
+  std::vector<Diagnostic> diags = analysis::VerifyCircuit(plan_->circuit);
+  std::vector<Diagnostic> key = analysis::VerifyPlanKey(plan_->key);
+  diags.insert(diags.end(), key.begin(), key.end());
+  // Zero findings, not just zero errors.
   EXPECT_TRUE(diags.empty()) << analysis::RenderText(diags);
 }
 
 TEST_F(VerifyTest, CircuitForwardChildBreaksTopologicalOrder) {
-  std::vector<Gate> gates = plan_->circuit.gates();
-  std::vector<GateId> outputs = plan_->circuit.outputs();
-  size_t victim = gates.size();
-  for (size_t i = 0; i < gates.size(); ++i) {
-    if (gates[i].kind == GateKind::kPlus || gates[i].kind == GateKind::kTimes) {
+  size_t victim = gates_.size();
+  for (size_t i = 0; i < gates_.size(); ++i) {
+    if (gates_[i].kind == GateKind::kPlus ||
+        gates_[i].kind == GateKind::kTimes) {
       victim = i;
       break;
     }
   }
-  ASSERT_LT(victim, gates.size());
-  gates[victim].a = static_cast<uint32_t>(gates.size() - 1);
-  if (victim == gates.size() - 1) gates[victim].a = static_cast<uint32_t>(victim);
-  std::vector<Diagnostic> diags =
-      analysis::VerifyCircuitParts(gates, outputs, plan_->circuit.num_vars());
-  EXPECT_NE(FindCode(diags, "verify.topological-order"), nullptr)
-      << analysis::RenderText(diags);
+  ASSERT_LT(victim, gates_.size());
+  gates_[victim].a = static_cast<uint32_t>(gates_.size() - 1);
+  if (victim == gates_.size() - 1) {
+    gates_[victim].a = static_cast<uint32_t>(victim);
+  }
+  const Diagnostic* d = SoleErrorOf("verify.topological-order");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->severity, Severity::kError);
 }
 
 TEST_F(VerifyTest, InputVariableOutOfRangeIsNamed) {
-  eval::EvalPlan::Parts parts = PartsOf(plan_->plan);
-  size_t victim = parts.gates.size();
-  for (size_t i = 0; i < parts.gates.size(); ++i) {
-    if (parts.gates[i].kind == GateKind::kInput) {
+  size_t victim = gates_.size();
+  for (size_t i = 0; i < gates_.size(); ++i) {
+    if (gates_[i].kind == GateKind::kInput) {
       victim = i;
       break;
     }
   }
-  ASSERT_LT(victim, parts.gates.size());
-  parts.gates[victim].a = parts.num_vars;  // first out-of-range id
-  const Diagnostic* d = SoleErrorOf(parts, "verify.input-var-range");
+  ASSERT_LT(victim, gates_.size());
+  gates_[victim].a = plan_->circuit.num_vars();  // first out-of-range id
+  const Diagnostic* d = SoleErrorOf("verify.input-var-range");
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->severity, Severity::kError);
 }
 
 TEST_F(VerifyTest, OutputSlotOutOfRangeIsNamed) {
-  eval::EvalPlan::Parts parts = PartsOf(plan_->plan);
-  ASSERT_FALSE(parts.output_slots.empty());
-  parts.output_slots[0] = static_cast<uint32_t>(parts.gates.size());
-  const Diagnostic* d = SoleErrorOf(parts, "verify.slot-bounds");
+  ASSERT_FALSE(outputs_.empty());
+  outputs_[0] = static_cast<GateId>(gates_.size());
+  const Diagnostic* d = SoleErrorOf("verify.slot-bounds");
   ASSERT_NE(d, nullptr);
-  EXPECT_NE(d->message.find("output slot"), std::string::npos);
-}
-
-TEST_F(VerifyTest, LayerPartitionViolationsAreNamed) {
-  {
-    eval::EvalPlan::Parts parts = PartsOf(plan_->plan);
-    parts.layer_starts.back() += 1;  // no longer ends at num_slots
-    std::vector<Diagnostic> diags = analysis::VerifyParts(parts);
-    EXPECT_NE(FindCode(diags, "verify.layer-bounds"), nullptr)
-        << analysis::RenderText(diags);
-  }
-  {
-    eval::EvalPlan::Parts parts = PartsOf(plan_->plan);
-    ASSERT_GE(parts.layer_of.size(), 1u);
-    parts.layer_of[0] += 1;  // disagrees with layer_starts
-    std::vector<Diagnostic> diags = analysis::VerifyParts(parts);
-    EXPECT_NE(FindCode(diags, "verify.layer-inverse"), nullptr)
-        << analysis::RenderText(diags);
-  }
-}
-
-TEST_F(VerifyTest, RewiredCsrDependentsEntryIsCaught) {
-  eval::EvalPlan::Parts parts = PartsOf(plan_->plan);
-  ASSERT_FALSE(parts.dependents.empty());
-  parts.dependents[0] =
-      (parts.dependents[0] + 1) % static_cast<uint32_t>(parts.gates.size());
-  std::vector<Diagnostic> diags = analysis::VerifyParts(parts);
-  EXPECT_NE(FindCode(diags, "verify.csr-inverse"), nullptr)
-      << analysis::RenderText(diags);
-}
-
-TEST_F(VerifyTest, DeadSlotsWarnButDoNotError) {
-  // Append an orphan constant slot in a fresh final layer: unreachable from
-  // every output, structurally valid otherwise.
-  eval::EvalPlan::Parts parts = PartsOf(plan_->plan);
-  parts.gates.push_back({GateKind::kOne, 0, 0});
-  parts.layer_starts.push_back(static_cast<uint32_t>(parts.gates.size()));
-  parts.layer_of.push_back(
-      static_cast<uint32_t>(parts.layer_starts.size() - 2));
-  parts.dep_starts.push_back(parts.dep_starts.back());
-  std::vector<Diagnostic> diags = analysis::VerifyParts(parts);
-  EXPECT_TRUE(analysis::Clean(diags)) << analysis::RenderText(diags);
-  const Diagnostic* d = FindCode(diags, "verify.output-cone");
-  ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->severity, Severity::kWarning);
-}
-
-TEST_F(VerifyTest, ErrorsOnlySkipsAdvisorySweeps) {
-  // Same orphan-slot plan as above: the default options report the
-  // output-cone warning; errors_only (what LoadPlan passes on the
-  // warm-start latency path) skips the advisory sweep entirely.
-  eval::EvalPlan::Parts parts = PartsOf(plan_->plan);
-  parts.gates.push_back({GateKind::kOne, 0, 0});
-  parts.layer_starts.push_back(static_cast<uint32_t>(parts.gates.size()));
-  parts.layer_of.push_back(
-      static_cast<uint32_t>(parts.layer_starts.size() - 2));
-  parts.dep_starts.push_back(parts.dep_starts.back());
-
-  std::vector<Diagnostic> with_advisories = analysis::VerifyParts(parts);
-  EXPECT_NE(FindCode(with_advisories, "verify.output-cone"), nullptr);
-
-  std::vector<Diagnostic> errors_only =
-      analysis::VerifyParts(parts, {/*errors_only=*/true});
-  EXPECT_TRUE(errors_only.empty()) << analysis::RenderText(errors_only);
+  EXPECT_NE(d->message.find("output gate"), std::string::npos);
 }
 
 TEST(VerifyCapTest, FindingsAreCappedWithATruncationNote) {

@@ -3,6 +3,7 @@
 // short-circuit behavior, and the full-re-eval fallback heuristic.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -62,19 +63,31 @@ TEST(DependentsIndexTest, CsrMatchesForwardEdgesExactly) {
     }
     EXPECT_EQ(plan.dependents().size(), total);
 
-    // Var index covers exactly the kInput slots.
-    ASSERT_EQ(plan.var_starts().size(), size_t{plan.num_vars()} + 1);
-    std::vector<std::vector<uint32_t>> by_var(plan.num_vars());
+    // Var index covers exactly the kInput slots, keyed by the variables
+    // read (ascending), so it has one entry per read variable plus one.
+    std::map<uint32_t, std::vector<uint32_t>> by_var;
     for (uint32_t s = 0; s < plan.num_slots(); ++s) {
       if (gates[s].kind == GateKind::kInput) by_var[gates[s].a].push_back(s);
     }
-    for (uint32_t v = 0; v < plan.num_vars(); ++v) {
+    const std::vector<uint32_t>& vars = plan.input_vars();
+    ASSERT_EQ(vars.size(), by_var.size());
+    ASSERT_EQ(plan.var_starts().size(), vars.size() + 1);
+    EXPECT_EQ(plan.var_starts().back(), plan.var_input_slots().size());
+    size_t i = 0;
+    for (const auto& [v, slots] : by_var) {
+      ASSERT_EQ(vars[i], v);
+      EXPECT_EQ(plan.InputVarIndex(v), i);
       std::vector<uint32_t> got(
-          plan.var_input_slots().begin() + plan.var_starts()[v],
-          plan.var_input_slots().begin() + plan.var_starts()[v + 1]);
-      std::sort(got.begin(), got.end());
-      std::sort(by_var[v].begin(), by_var[v].end());
-      EXPECT_EQ(got, by_var[v]) << "input slots of var " << v;
+          plan.var_input_slots().begin() + plan.var_starts()[i],
+          plan.var_input_slots().begin() + plan.var_starts()[i + 1]);
+      EXPECT_EQ(got, slots) << "input slots of var " << v;
+      ++i;
+    }
+    // A variable no slot reads has no index entry.
+    for (uint32_t v = 0; v < plan.num_vars(); ++v) {
+      if (by_var.count(v) == 0) {
+        EXPECT_EQ(plan.InputVarIndex(v), vars.size()) << "var " << v;
+      }
     }
   }
 }

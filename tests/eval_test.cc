@@ -168,16 +168,32 @@ TEST(EvalPlanTest, DuplicateOutputsKeepTheirOrder) {
   EXPECT_EQ(out[2], 3u);
 }
 
-/// Replays `plan`'s layer order with an owner-per-row table. Each layer's
-/// writes go before its reads, the order in which a layer-parallel sweep
-/// would expose a gate overwriting a row its own layer still reads.
+/// Checks the layer invariants the sweep and the delta frontier rely on:
+/// layer_of() is the inverse of layer_starts(), and every child sits in a
+/// strictly lower layer than its parent. Then replays `plan`'s layer order
+/// with an owner-per-row table. Each layer's writes go before its reads,
+/// the order in which a layer-parallel sweep would expose a gate
+/// overwriting a row its own layer still reads.
 void ExpectValidRowMap(const EvalPlan& plan) {
+  const std::vector<uint32_t>& starts = plan.layer_starts();
+  const std::vector<uint32_t>& layer_of = plan.layer_of();
+  ASSERT_EQ(layer_of.size(), plan.num_slots());
+  ASSERT_EQ(starts.back(), plan.num_slots());
+  for (uint32_t l = 0; l + 1 < starts.size(); ++l) {
+    for (uint32_t s = starts[l]; s < starts[l + 1]; ++s) {
+      ASSERT_EQ(layer_of[s], l) << "slot " << s;
+      const Gate& g = plan.gates()[s];
+      if (g.kind != GateKind::kPlus && g.kind != GateKind::kTimes) continue;
+      EXPECT_LT(layer_of[g.a], l) << "slot " << s << " child " << g.a;
+      EXPECT_LT(layer_of[g.b], l) << "slot " << s << " child " << g.b;
+    }
+  }
+
   const std::vector<uint32_t>& row_of = plan.row_of();
   ASSERT_EQ(row_of.size(), plan.num_slots());
   EXPECT_LE(plan.num_rows(), plan.num_slots());
   constexpr uint32_t kFree = UINT32_MAX;
   std::vector<uint32_t> owner(plan.num_rows(), kFree);
-  const std::vector<uint32_t>& starts = plan.layer_starts();
   for (size_t l = 0; l + 1 < starts.size(); ++l) {
     for (uint32_t s = starts[l]; s < starts[l + 1]; ++s) {
       ASSERT_LT(row_of[s], plan.num_rows()) << "slot " << s;
@@ -209,17 +225,6 @@ void ExpectValidRowMap(const EvalPlan& plan) {
   }
 }
 
-/// The plan rebuilt from its own parts: FromParts must derive the rows
-/// Build derived.
-void ExpectFromPartsDerivesSameRows(const EvalPlan& plan) {
-  EvalPlan rebuilt = EvalPlan::FromParts(
-      {plan.gates(), plan.layer_starts(), plan.output_slots(),
-       plan.dep_starts(), plan.dependents(), plan.var_starts(),
-       plan.var_input_slots(), plan.layer_of(), plan.num_vars()});
-  EXPECT_EQ(rebuilt.row_of(), plan.row_of());
-  EXPECT_EQ(rebuilt.num_rows(), plan.num_rows());
-}
-
 /// Theorem 5.6's Bellman-Ford transitive closure over the circulant digraph
 /// v_i -> v_(i+k mod n), one output per (s, t) pair.
 Circuit CirculantBellmanFord(uint32_t n, const std::vector<uint32_t>& ks) {
@@ -247,7 +252,6 @@ TEST(RowMapTest, DifferentialCircuitsAndTheirOptimizedPlans) {
     Circuit c = testing::RandomCaseCircuit(rng);
     EvalPlan plan = EvalPlan::Build(c);
     ExpectValidRowMap(plan);
-    ExpectFromPartsDerivesSameRows(plan);
     for (bool absorptive : {false, true}) {
       PassOptions opts;
       opts.plus_idempotent = absorptive;
@@ -255,7 +259,6 @@ TEST(RowMapTest, DifferentialCircuitsAndTheirOptimizedPlans) {
       EvalPlan optimized =
           EvalPlan::Build(eval::OptimizeForEval(c, opts).circuit);
       ExpectValidRowMap(optimized);
-      ExpectFromPartsDerivesSameRows(optimized);
     }
   }
 }
@@ -263,7 +266,6 @@ TEST(RowMapTest, DifferentialCircuitsAndTheirOptimizedPlans) {
 TEST(RowMapTest, CirculantBellmanFordPlanHoldsOnlyLiveRows) {
   EvalPlan plan = EvalPlan::Build(CirculantBellmanFord(12, {1, 3, 5}));
   ExpectValidRowMap(plan);
-  ExpectFromPartsDerivesSameRows(plan);
   // Each relaxation round reads only the round before it and the edges.
   EXPECT_LT(plan.num_rows() * 4, plan.num_slots());
 }

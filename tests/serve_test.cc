@@ -1,7 +1,8 @@
 // Tests for src/serve: snapshot round-trips must be bit-exact against the
 // fresh compile (structure and outputs, differential-checked across
-// semirings), the PlanStore must share/compile-once/warm-start correctly and
-// free what it evicts, the Server must serve inline evals, lanes, and
+// semirings), the PlanStore must share/compile-once/warm-start correctly,
+// free what it evicts, and compile over a snapshot of an older format or of
+// another input space, the Server must serve inline evals, lanes, and
 // updates with values that match a plain batch evaluation
 // (tests/reference_eval.h), coalescing must actually batch, and the wire
 // JSON must parse/escape correctly. No test calls a Session while a Server
@@ -14,7 +15,9 @@
 #include <fstream>
 #include <future>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -444,6 +447,78 @@ TEST(PlanStoreTest, WarmStartsFromSnapshotDirWithIdenticalOutputs) {
   std::filesystem::remove_all(dir);
 }
 
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+uint32_t U32At(const std::string& bytes, size_t off) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(static_cast<unsigned char>(bytes[off + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+/// Overwrites the little-endian u32 at byte `off` of the snapshot at `path`
+/// and recomputes the footer, so the forgery passes the checksum.
+void ForgeU32(const std::string& path, size_t off, uint32_t v) {
+  std::string bytes = ReadBytes(path);
+  for (int i = 0; i < 4; ++i) bytes[off + i] = static_cast<char>(v >> (8 * i));
+  const uint64_t sum = serve::SnapshotChecksum(
+      std::string_view(bytes).substr(8, bytes.size() - 16));
+  for (int i = 0; i < 8; ++i) {
+    bytes[bytes.size() - 8 + i] = static_cast<char>(sum >> (8 * i));
+  }
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+TEST(PlanStoreTest, ReplacesAStaleVersionSnapshotAndWarmStartsFromIt) {
+  // A snapshot of an older format version where the store looks is a failed
+  // load: the store compiles, its save replaces the file, and the next
+  // process warm-starts from the new one.
+  std::string dir = MakeTempDir("store_upgrade");
+  const PlanKey key = PlanKey::For<TropicalSemiring>();
+  Session cold = MakeFig1Session();
+  const uint64_t pd = cold.ProgramDigest();
+  const uint64_t ed = cold.EdbDigest();
+  const std::string path = dir + "/" + serve::SnapshotFileName(pd, ed, key);
+  {
+    auto compiled = cold.Compile(key);
+    ASSERT_TRUE(compiled.ok()) << compiled.error();
+    ASSERT_TRUE(serve::SavePlan(*compiled.value(), pd, ed, path).ok());
+  }
+  const size_t kVersionOff = 4;  // after the "DLCP" magic
+  ForgeU32(path, kVersionOff, 2);
+  ASSERT_FALSE(serve::LoadPlan(path, pd, ed, key).ok());
+
+  serve::PlanStore cold_store(dir);
+  auto compiled = cold_store.GetOrCompile(cold, key);
+  ASSERT_TRUE(compiled.ok()) << compiled.error();
+  EXPECT_EQ(cold_store.stats().compiles, 1u);
+  EXPECT_EQ(cold_store.stats().snapshot_loads, 0u);
+  EXPECT_EQ(cold_store.stats().snapshot_saves, 1u);
+  EXPECT_EQ(U32At(ReadBytes(path), kVersionOff), serve::kSnapshotVersion);
+
+  Session warm = MakeFig1Session();
+  serve::PlanStore warm_store(dir);
+  auto loaded = warm_store.GetOrCompile(warm, key);
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  EXPECT_EQ(warm_store.stats().compiles, 0u);
+  EXPECT_EQ(warm_store.stats().snapshot_loads, 1u);
+  Rng rng(7);
+  auto tags = RandomTagging<TropicalSemiring>(rng, warm.db().num_facts());
+  auto facts = warm.TargetFacts();
+  EXPECT_EQ(testing::EvaluateFacts<TropicalSemiring>(compiled.value()->plan,
+                                                     {tags}, facts),
+            testing::EvaluateFacts<TropicalSemiring>(loaded.value()->plan,
+                                                     {tags}, facts));
+  std::filesystem::remove_all(dir);
+}
+
 TEST(PlanStoreTest, EvictsColdPlansToSnapshotDirAndReloadsThem) {
   std::string dir = MakeTempDir("store_evict");
   Session session = MakeFig1Session();
@@ -534,6 +609,60 @@ serve::ServeRequest EvalRequest(const std::string& semiring,
   req.tags = std::move(tags);
   req.facts = std::move(facts);
   return req;
+}
+
+TEST(PlanStoreTest, ServesOnlyPlansBuiltOverTheSessionsEdb) {
+  // Every construction compiles over exactly the EDB's facts, and the batch
+  // kernels size a lane by the plan's input space. A checksum-valid
+  // snapshot whose circuit claims one variable more must be a failed load:
+  // served, it would CHECK-fail the first inline eval's lane packing.
+  std::string dir = MakeTempDir("store_num_vars");
+  const PlanKey key = PlanKey::For<TropicalSemiring>();
+  Session session = MakeFig1Session();
+  const uint64_t pd = session.ProgramDigest();
+  const uint64_t ed = session.EdbDigest();
+  const std::string path =
+      dir + "/" + serve::SnapshotFileName(pd, ed, key);
+  const std::vector<uint32_t> facts = session.TargetFacts();
+  const std::vector<std::vector<uint64_t>> tags = {{1, 2, 3, 4, 5, 6, 7}};
+  auto expected =
+      testing::EvaluateFacts<TropicalSemiring>(session, key, tags, facts);
+  ASSERT_TRUE(expected.ok()) << expected.error();
+  {
+    auto compiled = session.Compile(key);
+    ASSERT_TRUE(compiled.ok()) << compiled.error();
+    ASSERT_TRUE(serve::SavePlan(*compiled.value(), pd, ed, path).ok());
+    // The circuit section ends the payload: num_vars u32 | gate count u64
+    // | 9-byte gates | output count u64 | u32 outputs | checksum u64.
+    const Circuit& c = compiled.value()->circuit;
+    const size_t num_vars_off = ReadBytes(path).size() - 8 -
+                                4 * c.outputs().size() - 8 -
+                                9 * c.gates().size() - 8 - 4;
+    ASSERT_EQ(U32At(ReadBytes(path), num_vars_off), session.db().num_facts());
+    ForgeU32(path, num_vars_off, session.db().num_facts() + 1);
+  }
+  // The file itself is well formed; only the store knows the EDB.
+  ASSERT_TRUE(serve::LoadPlan(path, pd, ed, key).ok());
+
+  serve::PlanStore store(dir);
+  {
+    serve::Server server(session, store);
+    serve::ServeResponse r =
+        server
+            .Submit(EvalRequest("tropical", {"1", "2", "3", "4", "5", "6", "7"},
+                                facts))
+            .get();
+    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_EQ(r.values.size(), facts.size());
+    for (size_t i = 0; i < facts.size(); ++i) {
+      EXPECT_EQ(r.values[i], pipeline::FormatSemiringValue<TropicalSemiring>(
+                                 expected.value()[0][i]))
+          << "fact " << i;
+    }
+  }
+  EXPECT_EQ(store.stats().compiles, 1u);
+  EXPECT_EQ(store.stats().snapshot_loads, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServerTest, InlineEvalsMatchReferenceEvaluation) {

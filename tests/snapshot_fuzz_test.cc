@@ -5,11 +5,14 @@
 // Three sweeps over one real saved plan:
 //   1. flip every single byte (checksum/header layer catches all of these),
 //   2. truncate to every prefix length,
-//   3. corrupt targeted structural fields — output slot, layer boundary,
-//      CSR dependents entry, circuit gate child — and *recompute the footer*
-//      with serve::SnapshotChecksum so the corruption sails past the
-//      checksum and only the structural verifier (src/analysis/verify.h)
-//      stands between the file and the evaluator's CHECK-aborts.
+//   3. corrupt targeted fields of the circuit section — a gate child, an
+//      input variable, an output gate, the input-space size — and
+//      *recompute the footer* with serve::SnapshotChecksum so the corruption
+//      sails past the checksum and only the structural verifier
+//      (src/analysis/verify.h) stands between the file and the Circuit
+//      constructor's CHECK-aborts, or, for a forged input space, only the
+//      plan's variable-keyed index stands between the file's 4-byte fields
+//      and a multi-gigabyte allocation.
 //
 // The whole suite rides the ASan+UBSan CI job, so "never crashes" is
 // checked with teeth.
@@ -96,22 +99,15 @@ void FixChecksum(std::string* bytes) {
   }
 }
 
-/// Byte offsets (into the whole file) of the structural arrays, recovered by
-/// walking the v2 payload layout exactly as snapshot.cc writes it. Each
-/// `*_off` points at element 0 of the array; `*_count` is its length.
+/// Byte offsets (into the whole file) of the circuit section, recovered by
+/// walking the v3 payload layout exactly as snapshot.cc writes it. Each
+/// `*_off` of an array points at element 0; `*_count` is its length.
 struct SnapshotOffsets {
+  size_t num_vars_off = 0;
   size_t circuit_gates_off = 0;
   uint64_t circuit_gates_count = 0;
-  size_t plan_gates_off = 0;
-  uint64_t plan_gates_count = 0;
-  size_t layer_starts_off = 0;
-  uint64_t layer_starts_count = 0;
-  size_t output_slots_off = 0;
-  uint64_t output_slots_count = 0;
-  size_t dep_starts_off = 0;
-  uint64_t dep_starts_count = 0;
-  size_t dependents_off = 0;
-  uint64_t dependents_count = 0;
+  size_t circuit_outputs_off = 0;
+  uint64_t circuit_outputs_count = 0;
 };
 
 SnapshotOffsets WalkSnapshot(const std::string& bytes) {
@@ -126,34 +122,30 @@ SnapshotOffsets WalkSnapshot(const std::string& bytes) {
     uint64_t name_len = GetU64(bytes, p);
     p += 8 + name_len + 4 * 8;
   }
-  p += 4;  // num_vars
+  o.num_vars_off = p;
+  p += 4;
   o.circuit_gates_count = GetU64(bytes, p);
   p += 8;
   o.circuit_gates_off = p;
   p += o.circuit_gates_count * 9;
-  uint64_t num_outputs = GetU64(bytes, p);
-  p += 8 + num_outputs * 4;  // circuit outputs
-  o.plan_gates_count = GetU64(bytes, p);
+  o.circuit_outputs_count = GetU64(bytes, p);
   p += 8;
-  o.plan_gates_off = p;
-  p += o.plan_gates_count * 9;
-  o.layer_starts_count = GetU64(bytes, p);
-  p += 8;
-  o.layer_starts_off = p;
-  p += o.layer_starts_count * 4;
-  o.output_slots_count = GetU64(bytes, p);
-  p += 8;
-  o.output_slots_off = p;
-  p += o.output_slots_count * 4;
-  o.dep_starts_count = GetU64(bytes, p);
-  p += 8;
-  o.dep_starts_off = p;
-  p += o.dep_starts_count * 4;
-  o.dependents_count = GetU64(bytes, p);
-  p += 8;
-  o.dependents_off = p;
-  EXPECT_LT(p, bytes.size());
+  o.circuit_outputs_off = p;
+  p += o.circuit_outputs_count * 4;
+  EXPECT_EQ(p + 8, bytes.size()) << "the circuit section ends the payload";
   return o;
+}
+
+/// Index of the first circuit gate of `kind`, or the gate count if none.
+size_t FirstGateOf(const std::string& bytes, const SnapshotOffsets& o,
+                   GateKind kind) {
+  for (size_t g = 0; g < o.circuit_gates_count; ++g) {
+    if (static_cast<unsigned char>(bytes[o.circuit_gates_off + g * 9]) ==
+        static_cast<unsigned char>(kind)) {
+      return g;
+    }
+  }
+  return o.circuit_gates_count;
 }
 
 class SnapshotFuzzTest : public ::testing::Test {
@@ -227,58 +219,37 @@ TEST_F(SnapshotFuzzTest, EveryTruncationIsRejected) {
 
 TEST_F(SnapshotFuzzTest, ChecksumValidStructuralCorruptionNamesInvariant) {
   SnapshotOffsets o = WalkSnapshot(pristine_);
-  ASSERT_GT(o.plan_gates_count, 0u);
-  ASSERT_GT(o.output_slots_count, 0u);
-  ASSERT_GT(o.layer_starts_count, 2u);
-  ASSERT_GT(o.dependents_count, 0u);
+  ASSERT_GT(o.circuit_outputs_count, 0u);
+  const uint32_t num_vars = GetU32(pristine_, o.num_vars_off);
 
-  // An output slot pointing past the slot arena.
-  {
-    std::string c = pristine_;
-    PutU32(&c, o.output_slots_off, 0xFFFFFFFFu);
-    FixChecksum(&c);
-    ExpectReject(c, "plan invariant violated [verify.", "output slot");
-  }
-  // An interior layer boundary pushed past the final one: layer_starts is
-  // no longer monotone (or no longer agrees with layer_of).
-  {
-    std::string c = pristine_;
-    size_t mid = o.layer_starts_off + 4 * (o.layer_starts_count / 2);
-    PutU32(&c, mid, GetU32(pristine_, mid) + 1);
-    FixChecksum(&c);
-    ExpectReject(c, "plan invariant violated [verify.", "layer boundary");
-  }
-  // A CSR dependents entry rewired to a different (in-range) slot: the
-  // exact-inverse replay of EvalPlan::Build's fill must catch it.
-  {
-    std::string c = pristine_;
-    uint32_t old = GetU32(pristine_, o.dependents_off);
-    uint32_t swapped =
-        (old + 1) % static_cast<uint32_t>(o.plan_gates_count);
-    PutU32(&c, o.dependents_off, swapped);
-    FixChecksum(&c);
-    ExpectReject(c, "plan invariant violated [verify.", "CSR dependents");
-  }
   // A circuit gate whose child points at itself: breaks topological order.
-  // Gate records are (kind u8, a u32, b u32); find a kPlus/kTimes gate (the
-  // only kinds whose `a` is a child id) and rewire its `a` to its own index.
+  // Gate records are (kind u8, a u32, b u32); a kPlus gate's `a` is a child
+  // id.
   {
-    size_t victim = o.circuit_gates_count;
-    for (size_t g = 0; g < o.circuit_gates_count; ++g) {
-      unsigned char kind = static_cast<unsigned char>(
-          pristine_[o.circuit_gates_off + g * 9]);
-      if (kind == static_cast<unsigned char>(GateKind::kPlus) ||
-          kind == static_cast<unsigned char>(GateKind::kTimes)) {
-        victim = g;
-        break;
-      }
-    }
-    ASSERT_LT(victim, o.circuit_gates_count) << "no plus/times gate to corrupt";
+    const size_t victim = FirstGateOf(pristine_, o, GateKind::kPlus);
+    ASSERT_LT(victim, o.circuit_gates_count) << "no plus gate to corrupt";
     std::string c = pristine_;
     PutU32(&c, o.circuit_gates_off + victim * 9 + 1,
            static_cast<uint32_t>(victim));
     FixChecksum(&c);
     ExpectReject(c, "circuit invariant violated [verify.", "gate child");
+  }
+  // An input gate reading the first variable past the input space.
+  {
+    const size_t victim = FirstGateOf(pristine_, o, GateKind::kInput);
+    ASSERT_LT(victim, o.circuit_gates_count) << "no input gate to corrupt";
+    std::string c = pristine_;
+    PutU32(&c, o.circuit_gates_off + victim * 9 + 1, num_vars);
+    FixChecksum(&c);
+    ExpectReject(c, "circuit invariant violated [verify.", "input variable");
+  }
+  // An output gate pointing past the arena.
+  {
+    std::string c = pristine_;
+    PutU32(&c, o.circuit_outputs_off,
+           static_cast<uint32_t>(o.circuit_gates_count));
+    FixChecksum(&c);
+    ExpectReject(c, "circuit invariant violated [verify.", "output gate");
   }
   // Control: rewriting the pristine bytes (checksum untouched) still loads —
   // the forgeries above failed for structural reasons, not stale footers.
@@ -286,16 +257,47 @@ TEST_F(SnapshotFuzzTest, ChecksumValidStructuralCorruptionNamesInvariant) {
   EXPECT_TRUE(Load().ok());
 }
 
-TEST_F(SnapshotFuzzTest, ForgedChecksumAloneIsNotEnough) {
-  // Flip a byte inside the plan-gates arena, then recompute the footer. The
-  // checksum passes; decode succeeds; only the structural verifier or the
-  // digest/key gates may reject it — but under no circumstances may the
-  // load crash. (Some flips produce a still-valid plan — e.g. a kind byte
-  // toggling kPlus<->kTimes keeps every index invariant intact — so this
-  // asserts "no crash", not "always rejected".)
+TEST_F(SnapshotFuzzTest, ForgedInputSpaceDoesNotSizeTheLoad) {
+  // num_vars and every input gate's variable are 4-byte fields no array in
+  // the file backs. Forged to the top of their range (a valid circuit over
+  // 2^32 - 1 variables, one input reading x_{2^32 - 2}), the file loads —
+  // whether the input space matches the EDB is the caller's check
+  // (PlanStore) — but the load must stay sized by the gates: the plan's
+  // variable index holds one entry per variable read, not per id.
   SnapshotOffsets o = WalkSnapshot(pristine_);
-  size_t begin = o.plan_gates_off;
-  size_t end = begin + o.plan_gates_count * 9;
+  const size_t victim = FirstGateOf(pristine_, o, GateKind::kInput);
+  ASSERT_LT(victim, o.circuit_gates_count) << "no input gate to corrupt";
+  for (bool forge_input : {false, true}) {
+    SCOPED_TRACE(forge_input ? "num_vars and an input variable" : "num_vars");
+    std::string c = pristine_;
+    PutU32(&c, o.num_vars_off, 0xFFFFFFFFu);
+    if (forge_input) {
+      PutU32(&c, o.circuit_gates_off + victim * 9 + 1, 0xFFFFFFFEu);
+    }
+    FixChecksum(&c);
+    WriteFile(path_, c);
+    auto r = Load();
+    ASSERT_TRUE(r.ok()) << r.error();
+    const eval::EvalPlan& plan = r.value()->plan;
+    EXPECT_EQ(plan.num_vars(), 0xFFFFFFFFu);
+    EXPECT_LE(plan.input_vars().size(), plan.num_slots());
+    EXPECT_EQ(plan.var_starts().size(), plan.input_vars().size() + 1);
+    if (forge_input) {
+      EXPECT_EQ(plan.input_vars().back(), 0xFFFFFFFEu);
+    }
+  }
+}
+
+TEST_F(SnapshotFuzzTest, ForgedChecksumAloneIsNotEnough) {
+  // Flip a byte inside the circuit-gate arena, then recompute the footer.
+  // The checksum passes; decode succeeds; only the structural verifier or
+  // the digest/key gates may reject it — but under no circumstances may the
+  // load crash. (Some flips leave a valid circuit — e.g. in the unused
+  // operand fields of input and constant gates — so this asserts "no
+  // crash", not "always rejected".)
+  SnapshotOffsets o = WalkSnapshot(pristine_);
+  size_t begin = o.circuit_gates_off;
+  size_t end = begin + o.circuit_gates_count * 9;
   for (size_t i = begin; i < end; ++i) {
     std::string c = pristine_;
     c[i] = static_cast<char>(c[i] ^ 0x40);
@@ -327,11 +329,11 @@ TEST_F(SnapshotFuzzTest, VerificationIsMemoizedPerFileIdentity) {
   // the rewrite changes the file's identity (mtime at least), so the
   // structural verifier runs again and rejects it.
   SnapshotOffsets o = WalkSnapshot(pristine_);
-  ASSERT_GT(o.output_slots_count, 0u);
+  ASSERT_GT(o.circuit_outputs_count, 0u);
   std::string c = pristine_;
-  PutU32(&c, o.output_slots_off, 0xFFFFFFFFu);
+  PutU32(&c, o.circuit_outputs_off, 0xFFFFFFFFu);
   FixChecksum(&c);
-  ExpectReject(c, "plan invariant violated [verify.",
+  ExpectReject(c, "circuit invariant violated [verify.",
                "corrupted rewrite after memoized load");
 }
 
