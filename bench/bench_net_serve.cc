@@ -18,13 +18,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <fstream>
-#include <future>
 #include <iostream>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -94,41 +91,13 @@ struct NetPoint {
 };
 
 /// The same glue ServeListen runs in dlcirc: NDJSON line -> broker request,
-/// a FIFO pump waiting out futures, queue-depth admission control. Kept
-/// minimal (eval ops only) — the wire grammar is wire_test's job.
+/// queue-depth admission control, and a completion that hands the response
+/// line to the connection's ordered slot. Kept minimal (eval ops only) —
+/// the wire grammar is wire_test's job.
 struct FrontEnd {
   serve::Server* server;
   std::vector<uint32_t> facts;
   size_t admission_depth;
-
-  struct Pending {
-    std::future<serve::ServeResponse> future;
-    serve::SocketServer::Responder responder;
-  };
-  std::mutex mu;
-  std::condition_variable nonempty;
-  std::deque<Pending> pending;
-  bool done = false;
-  std::thread pump;
-
-  void StartPump() {
-    pump = std::thread([this] {
-      while (true) {
-        Pending p;
-        {
-          std::unique_lock<std::mutex> lock(mu);
-          nonempty.wait(lock, [this] { return done || !pending.empty(); });
-          if (pending.empty()) return;
-          p = std::move(pending.front());
-          pending.pop_front();
-        }
-        serve::ServeResponse r = p.future.get();
-        p.responder.Send(r.ok ? "{\"id\": 1, \"ok\": true}"
-                              : "{\"id\": 1, \"ok\": false, \"error\": \"" +
-                                    serve::JsonEscape(r.error) + "\"}");
-      }
-    });
-  }
 
   void Handle(std::string&& line, serve::SocketServer::Responder responder) {
     auto parsed = serve::ParseJson(line);
@@ -151,21 +120,14 @@ struct FrontEnd {
           "{\"ok\": false, \"error\": \"busy: request queue full\"}");
       return;
     }
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      pending.push_back({server->Submit(std::move(request)),
-                         std::move(responder)});
-    }
-    nonempty.notify_one();
-  }
-
-  void StopPump() {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      done = true;
-    }
-    nonempty.notify_all();
-    pump.join();
+    server->Submit(std::move(request),
+                   [responder = std::move(responder)](
+                       serve::ServeResponse r) mutable {
+                     responder.Send(
+                         r.ok ? "{\"id\": 1, \"ok\": true}"
+                              : "{\"id\": 1, \"ok\": false, \"error\": \"" +
+                                    serve::JsonEscape(r.error) + "\"}");
+                   });
   }
 };
 
@@ -227,7 +189,6 @@ NetPoint RunPoint(pipeline::Session& session, serve::PlanStore& store,
   front.server = &server;
   front.facts = {session.TargetFacts().front()};
   front.admission_depth = server_options.queue_capacity;
-  front.StartPump();
 
   serve::NetOptions net;
   net.host = "127.0.0.1";
@@ -307,7 +268,6 @@ NetPoint RunPoint(pipeline::Session& session, serve::PlanStore& store,
   stop.store(true);
   sock.Stop();  // unblocks clients waiting in recv via close
   for (std::thread& t : clients) t.join();
-  front.StopPump();
   server.Stop();
 
   NetPoint point;

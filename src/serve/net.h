@@ -12,7 +12,10 @@
 //     Responder::Send exactly once, from any thread. This is where the
 //     serve front end parses the request, applies queue-depth admission
 //     control (a structured "busy" error instead of blocking the loop on
-//     the broker's bounded MPMC queue), and submits to Server.
+//     the broker's bounded MPMC queue), and submits to Server with a
+//     completion that renders the response and calls Send from the
+//     dispatcher that served it; the per-connection slots below put those
+//     answers back in request order, so no thread waits on the broker.
 //
 // Connection behavior:
 //   * Pipelining: a client may write many lines without reading; responses

@@ -32,8 +32,7 @@ void SweepStrayTempFiles(const std::string& dir) {
 }  // namespace
 
 PlanStore::PlanStore(PlanStoreOptions options)
-    : options_(std::move(options)),
-      shards_(std::max<uint32_t>(options_.num_shards, 1)) {
+    : options_(std::move(options)) {
   if (!options_.snapshot_dir.empty()) {
     SweepStrayTempFiles(options_.snapshot_dir);
   }
@@ -64,6 +63,16 @@ std::string PlanStore::PathFor(const PlanStoreKey& key) const {
          SnapshotFileName(key.program_digest, key.edb_digest, key.key);
 }
 
+std::shared_ptr<const pipeline::CompiledPlan> PlanStore::FindLocked(
+    const PlanStoreKey& key) {
+  auto it = plans_.find(key);
+  if (it == plans_.end()) return nullptr;
+  it->second.last_used = ++tick_;
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  obs_hits_->Inc();
+  return it->second.plan;
+}
+
 Result<std::shared_ptr<const pipeline::CompiledPlan>> PlanStore::GetOrCompile(
     pipeline::Session& session, const pipeline::PlanKey& key) {
   using Out = Result<std::shared_ptr<const pipeline::CompiledPlan>>;
@@ -74,15 +83,9 @@ Result<std::shared_ptr<const pipeline::CompiledPlan>> PlanStore::GetOrCompile(
   const PlanStoreKey store_key{session.ProgramDigest(), session.EdbDigest(),
                                key};
 
-  Shard& shard = ShardFor(store_key);
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (auto it = shard.plans.find(store_key); it != shard.plans.end()) {
-      it->second.last_used = tick_.fetch_add(1) + 1;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      obs_hits_->Inc();
-      return it->second.plan;
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (auto plan = FindLocked(store_key)) return plan;
   }
   obs_misses_->Inc();
 
@@ -90,13 +93,8 @@ Result<std::shared_ptr<const pipeline::CompiledPlan>> PlanStore::GetOrCompile(
   // the same compile while we waited), then snapshot-load or compile.
   std::lock_guard<std::mutex> compile_lock(compile_mu_);
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (auto it = shard.plans.find(store_key); it != shard.plans.end()) {
-      it->second.last_used = tick_.fetch_add(1) + 1;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      obs_hits_->Inc();
-      return it->second.plan;
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (auto plan = FindLocked(store_key)) return plan;
   }
 
   std::shared_ptr<const pipeline::CompiledPlan> plan;
@@ -152,15 +150,8 @@ Result<std::shared_ptr<const pipeline::CompiledPlan>> PlanStore::GetOrCompile(
     obs_compiles_->Inc();
   }
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    Entry entry;
-    entry.plan = plan;
-    entry.key = store_key;
-    entry.last_used = tick_.fetch_add(1) + 1;
-    entry.on_disk = on_disk;
-    if (shard.plans.emplace(store_key, std::move(entry)).second) {
-      resident_.fetch_add(1);
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    plans_.emplace(store_key, Entry{plan, store_key, ++tick_, on_disk});
   }
   EvictIfNeeded();
   return plan;
@@ -168,35 +159,16 @@ Result<std::shared_ptr<const pipeline::CompiledPlan>> PlanStore::GetOrCompile(
 
 void PlanStore::EvictIfNeeded() {
   // Called under compile_mu_ only, so at most one eviction pass runs at a
-  // time and the resident count cannot race upward mid-pass (inserts happen
-  // on the miss path, also under compile_mu_).
+  // time and the resident count cannot grow mid-pass (inserts happen on the
+  // miss path, also under compile_mu_).
   if (options_.max_resident_plans == 0) return;
-  while (resident_.load() > options_.max_resident_plans) {
-    // Global LRU, one shard lock at a time: find the minimum last_used tick
-    // across shards, then re-lock that shard to evict. Stale picks (the
-    // entry got touched in between) just retry.
-    Shard* victim_shard = nullptr;
-    PlanStoreKey victim_key;
-    uint64_t victim_tick = 0;
-    bool found = false;
-    for (Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      for (const auto& [k, entry] : shard.plans) {
-        if (!found || entry.last_used < victim_tick) {
-          victim_shard = &shard;
-          victim_key = k;
-          victim_tick = entry.last_used;
-          found = true;
-        }
-      }
-    }
-    if (!found) return;
-
-    std::lock_guard<std::mutex> lock(victim_shard->mu);
-    auto it = victim_shard->plans.find(victim_key);
-    if (it == victim_shard->plans.end()) continue;
-    Entry& entry = it->second;
-    if (entry.last_used != victim_tick) continue;  // touched since the scan
+  std::lock_guard<std::mutex> lock(mu_);
+  while (plans_.size() > options_.max_resident_plans) {
+    auto victim = std::min_element(
+        plans_.begin(), plans_.end(), [](const auto& a, const auto& b) {
+          return a.second.last_used < b.second.last_used;
+        });
+    Entry& entry = victim->second;
     if (!entry.on_disk) {
       // Evicting means dropping the only copy unless a snapshot exists.
       // (Re-)save first; if there is nowhere to save or the save fails,
@@ -212,8 +184,7 @@ void PlanStore::EvictIfNeeded() {
       obs_saves_->Inc();
       entry.on_disk = true;
     }
-    victim_shard->plans.erase(it);
-    resident_.fetch_sub(1);
+    plans_.erase(victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
     obs_evictions_->Inc();
   }
@@ -226,7 +197,8 @@ PlanStoreStats PlanStore::stats() const {
   s.snapshot_loads = snapshot_loads_.load(std::memory_order_relaxed);
   s.snapshot_saves = snapshot_saves_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.resident = resident_.load();
+  std::lock_guard<std::mutex> lock(mu_);
+  s.resident = plans_.size();
   return s;
 }
 

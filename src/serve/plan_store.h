@@ -1,12 +1,11 @@
-// Thread-safe registry of compiled plans, sharded, with optional disk
-// snapshots and LRU eviction (the multi-tenant serving store of ROADMAP
-// item 1).
+// Thread-safe registry of compiled plans, with optional disk snapshots and
+// LRU eviction.
 //
 // The serving layer's unit of sharing: many concurrent clients (and many
 // Server channels) resolve their (program digest, EDB digest, PlanKey) to
-// one immutable shared CompiledPlan. The registry is split into
-// `num_shards` independently-locked shards keyed by the store-key hash, so
-// hot-path hits from many connections never contend on one mutex. A miss
+// one immutable shared CompiledPlan. One mutex guards the registry: only
+// dispatchers look plans up, once per channel group per burst, so a hit
+// holds it for one hash lookup and nothing contends for it. A miss
 // compiles through the owning Session exactly once — concurrent requesters
 // for the same plan (or any plan of the same session, since Session itself
 // is single-threaded) wait on the one compile instead of duplicating it.
@@ -21,7 +20,10 @@
 //     the resident count exceeds the cap — an evicted plan's snapshot
 //     stays on disk, so re-touching it is a near-free mmap load, not a
 //     recompile. (Lanes and in-flight requests holding the shared_ptr keep
-//     their plan alive; eviction only drops the registry's reference.)
+//     their plan alive; eviction only drops the registry's reference.) The
+//     rare victim whose compile-time save failed is re-saved before it is
+//     dropped, and that save runs under the registry lock, so hits wait on
+//     it.
 //   * construction sweeps stray `*.tmp` files out of the directory —
 //     leftovers of a save interrupted between temp write and rename.
 #ifndef DLCIRC_SERVE_PLAN_STORE_H_
@@ -33,7 +35,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "src/obs/metrics.h"
 #include "src/pipeline/session.h"
@@ -73,8 +74,6 @@ struct PlanStoreOptions {
   /// snapshots are ignored (cold compile) and save failures are non-fatal
   /// (the plan still serves from memory).
   std::string snapshot_dir;
-  /// Number of independently-locked shards; clamped to >= 1.
-  uint32_t num_shards = 16;
   /// 0 = never evict. Otherwise, once more than this many plans are
   /// resident, the least-recently-used ones are evicted — only if their
   /// snapshot is safely on disk (requires snapshot_dir; a plan whose save
@@ -101,29 +100,21 @@ class PlanStore {
 
   PlanStoreStats stats() const;
   const std::string& snapshot_dir() const { return options_.snapshot_dir; }
-  uint32_t num_shards() const {
-    return static_cast<uint32_t>(shards_.size());
-  }
 
  private:
   struct Entry {
     std::shared_ptr<const pipeline::CompiledPlan> plan;
     PlanStoreKey key;        ///< for snapshot naming during eviction
-    uint64_t last_used = 0;  ///< global tick at last hit/insert
+    uint64_t last_used = 0;  ///< tick_ at last hit/insert
     bool on_disk = false;    ///< a valid snapshot exists for this plan
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<PlanStoreKey, Entry, PlanStoreKeyHash> plans;
-  };
 
-  Shard& ShardFor(const PlanStoreKey& key) {
-    return shards_[PlanStoreKeyHash{}(key) % shards_.size()];
-  }
   std::string PathFor(const PlanStoreKey& key) const;
+  /// The registered plan for `key`, marked used, or null. Caller holds mu_.
+  std::shared_ptr<const pipeline::CompiledPlan> FindLocked(
+      const PlanStoreKey& key);
   /// Drops LRU entries until resident <= max_resident_plans. Runs under
-  /// compile_mu_ (eviction is miss-path-only work); takes one shard lock
-  /// at a time.
+  /// compile_mu_ (eviction is miss-path-only work) and takes mu_.
   void EvictIfNeeded();
 
   PlanStoreOptions options_;
@@ -139,9 +130,9 @@ class PlanStore {
   obs::Histogram* obs_compile_ns_ = nullptr;  ///< dlcirc_plan_compile_ns
   obs::Histogram* obs_load_ns_ = nullptr;     ///< dlcirc_plan_snapshot_load_ns
 
-  std::vector<Shard> shards_;
-  std::atomic<uint64_t> tick_{0};      ///< LRU clock
-  std::atomic<uint64_t> resident_{0};  ///< plans across all shards
+  mutable std::mutex mu_;  ///< guards plans_ and tick_
+  std::unordered_map<PlanStoreKey, Entry, PlanStoreKeyHash> plans_;
+  uint64_t tick_ = 0;  ///< LRU clock
 
   std::mutex compile_mu_;  ///< serializes compiles (all non-const Session use)
 

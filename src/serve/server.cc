@@ -64,27 +64,31 @@ Server::Server(pipeline::Session& session, PlanStore& plans,
 
 Server::~Server() { Stop(); }
 
-std::future<ServeResponse> Server::Submit(ServeRequest request) {
+void Server::Submit(ServeRequest request, Completion done) {
   Pending pending;
   pending.request = std::move(request);
+  pending.done = std::move(done);
   pending.submit_ns = obs_latency_->StartTimeNs();  // 0 while disabled
-  std::future<ServeResponse> future = pending.promise.get_future();
-  {
-    std::unique_lock<std::mutex> lock(queue_mu_);
-    queue_push_cv_.wait(lock, [this] {
-      return stopped_ || queue_.size() < options_.queue_capacity;
-    });
-    if (stopped_) {
-      lock.unlock();
-      pending.promise.set_value({false, "server stopped", 0, {}, {}, {}});
-      return future;
-    }
-    queue_.push_back(std::move(pending));
+  std::unique_lock<std::mutex> lock(queue_mu_);
+  queue_push_cv_.wait(lock, [this] {
+    return stopped_ || queue_.size() < options_.queue_capacity;
+  });
+  if (stopped_) {
+    lock.unlock();
+    pending.done({false, "server stopped", 0, {}, {}, {}});
+    return;
   }
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  obs_requests_->Inc();
+  queue_.push_back(std::move(pending));
   obs_queue_depth_->Add(1);
+  lock.unlock();
   queue_pop_cv_.notify_one();
+}
+
+std::future<ServeResponse> Server::Submit(ServeRequest request) {
+  auto promise = std::make_shared<std::promise<ServeResponse>>();
+  std::future<ServeResponse> future = promise->get_future();
+  Submit(std::move(request),
+         [promise](ServeResponse r) { promise->set_value(std::move(r)); });
   return future;
 }
 
@@ -159,15 +163,19 @@ bool Server::PopBurst(std::vector<Pending>* burst) {
     return stopped_ || (!paused_ && !queue_.empty());
   });
   if (queue_.empty()) return false;  // stopped and drained
-  const size_t n = std::min(options_.max_coalesce, queue_.size());
+  // A ping ends its burst: it is answered after everything popped before it
+  // and before anything queued behind it is taken off the queue.
   burst->clear();
-  burst->reserve(n);
-  for (size_t i = 0; i < n; ++i) {
+  while (!queue_.empty() && burst->size() < options_.max_coalesce) {
     burst->push_back(std::move(queue_.front()));
     queue_.pop_front();
+    if (burst->back().request.kind == ServeRequest::Kind::kPing) break;
   }
-  lock.unlock();
+  const size_t n = burst->size();
   obs_queue_depth_->Add(-static_cast<int64_t>(n));
+  requests_.fetch_add(n, std::memory_order_relaxed);
+  obs_requests_->Inc(n);
+  lock.unlock();
   for (const Pending& p : *burst) {
     if (p.submit_ns != 0) {
       const uint64_t wait_ns = obs::NowNs() - p.submit_ns;
@@ -194,18 +202,18 @@ void Server::ServeBurst(std::vector<Pending>* burst,
   // burst is unobservable.
   std::vector<std::string> group_order;
   std::unordered_map<std::string, std::vector<Pending*>> groups;
-  std::vector<Pending*> pings;
+  // PopBurst ends a burst at its first ping, so a burst holds at most one,
+  // and only as its last request.
+  Pending* fence = nullptr;
   obs::TraceSpan coalesce_span("serve", "coalesce");
   coalesce_span.set_args_json("\"burst\":" + std::to_string(burst->size()));
   for (Pending& p : *burst) {
     const ServeRequest& req = p.request;
     if (req.kind == ServeRequest::Kind::kPing) {
       // A fence, not an evaluation: it never forces a channel (or a plan
-      // compile) into existence, and it resolves only after every other
-      // request of its burst has been served — so "completes after
-      // everything before it in the queue" holds even for requests popped
-      // into the same burst.
-      pings.push_back(&p);
+      // compile) into existence, and it is answered only after every other
+      // request of its burst has been served.
+      fence = &p;
       continue;
     }
     std::string key =
@@ -231,8 +239,10 @@ void Server::ServeBurst(std::vector<Pending>* burst,
       }
     }
   }
-  obs::TraceSpan respond_span("serve", "respond_pings");
-  for (Pending* p : pings) Respond(p, {true, "", 0, {}, {}, {}});
+  if (fence != nullptr) {
+    obs::TraceSpan respond_span("serve", "respond_ping");
+    Respond(fence, {true, "", 0, {}, {}, {}});
+  }
 }
 
 }  // namespace serve

@@ -26,11 +26,18 @@
 // are immutable and shared through the PlanStore; scratch buffers and lane
 // states recycle through per-channel EvalStatePools.
 //
+// Answers: every request is answered exactly once through the completion
+// its submitter passed (Submit's Completion), called on the dispatcher that
+// served it; a future-returning Submit wraps that for callers that block.
+//
 // Ordering: requests on one channel are processed in arrival order within a
 // dispatcher burst (with stateless coalesced evals evaluated at burst end —
 // they carry their own tags, so reordering them against lane mutations is
-// unobservable). With num_dispatchers > 1, cross-burst order is not
-// guaranteed; per-lane mutations are still serialized by the lane lock.
+// unobservable). A ping ends its burst and is answered after the rest of
+// it, so with one dispatcher its completion sees exactly the requests
+// queued before it served and counted, and none queued after. With
+// num_dispatchers > 1, cross-burst order is not guaranteed; per-lane
+// mutations are still serialized by the lane lock.
 #ifndef DLCIRC_SERVE_SERVER_H_
 #define DLCIRC_SERVE_SERVER_H_
 
@@ -38,6 +45,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -121,7 +129,7 @@ struct ServerOptions {
 };
 
 struct ServerStats {
-  uint64_t requests = 0;          ///< accepted into the queue
+  uint64_t requests = 0;          ///< taken off the queue by a dispatcher
   uint64_t evals = 0;             ///< inline-tag evaluations served
   uint64_t lane_reads = 0;        ///< lane eval requests served
   uint64_t lane_makes = 0;        ///< lanes materialized (incl. replacements)
@@ -161,9 +169,18 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Enqueues a request; blocks while the queue is at capacity. The future
-  /// resolves when a dispatcher has served the request. After Stop(),
-  /// returns an already-failed response.
+  /// How a request is answered. The completion runs exactly once: on the
+  /// dispatcher thread that served the request, possibly while that thread
+  /// holds the request's lane lock, so it must be quick. It must not throw
+  /// and must not call Submit (a full queue would wait on the very thread
+  /// that drains it).
+  using Completion = std::function<void(ServeResponse)>;
+
+  /// Enqueues a request; blocks while the queue is at capacity. After
+  /// Stop(), calls `done` with a "server stopped" error on this thread
+  /// before returning.
+  void Submit(ServeRequest request, Completion done);
+  /// The same, answered through a future.
   std::future<ServeResponse> Submit(ServeRequest request);
 
   /// Wakes dispatchers when constructed with options.paused.
@@ -188,7 +205,7 @@ class Server {
  private:
   struct Pending {
     ServeRequest request;
-    std::promise<ServeResponse> promise;
+    Completion done;
     /// Submit timestamp (obs clock), or 0 when metrics were disabled at
     /// submit time — the sentinel that keeps disabled requests clockless.
     uint64_t submit_ns = 0;
@@ -249,7 +266,7 @@ class Server {
   }
 
   /// Every response funnels through here: records end-to-end latency
-  /// (overall + per-channel once routed) before resolving the future.
+  /// (overall + per-channel once routed) before calling the completion.
   void Respond(Pending* p, ServeResponse response) {
     if (p->submit_ns != 0) {
       const uint64_t d = obs::NowNs() - p->submit_ns;
@@ -257,7 +274,7 @@ class Server {
       if (p->channel_latency != nullptr) p->channel_latency->Record(d);
     }
     response.construction = p->construction;
-    p->promise.set_value(std::move(response));
+    p->done(std::move(response));
   }
   void RespondError(Pending* p, std::string error) {
     errors_.fetch_add(1, std::memory_order_relaxed);
@@ -404,7 +421,8 @@ class Server {
 
   // Obs series (default registry; resolved once in the constructor). The
   // ServerStats atomics above stay authoritative for the cheap `stats` op;
-  // these add distributions and the Prometheus exposition.
+  // these add distributions and the Prometheus exposition. The queue-depth
+  // gauge moves only under queue_mu_, so it never reads below zero.
   uint64_t start_ns_ = 0;
   obs::Counter* obs_requests_ = nullptr;   ///< dlcirc_serve_requests_total
   obs::Counter* obs_errors_ = nullptr;     ///< dlcirc_serve_errors_total
@@ -481,10 +499,10 @@ void Server::ServeChannelGroup(const std::string& channel_key,
         const uint64_t wait_start = obs_lane_wait_->StartTimeNs();
         std::shared_lock<std::shared_mutex> read(lane->mu);
         obs_lane_wait_->RecordSince(wait_start);
+        lane_reads_.fetch_add(1, std::memory_order_relaxed);
         Respond(p, {true, "", lane->epoch,
                     FactValues<S>(eplan, lane->state->slots, req.facts), {},
                     {}});
-        lane_reads_.fetch_add(1, std::memory_order_relaxed);
         break;
       }
       case ServeRequest::Kind::kMakeLane: {
@@ -597,8 +615,7 @@ void Server::ServeChannelGroup(const std::string& channel_key,
         }
         break;
       }
-      case ServeRequest::Kind::kPing:
-        Respond(p, {true, "", 0, {}, {}, {}});
+      case ServeRequest::Kind::kPing:  // ServeBurst answers pings itself
         break;
       case ServeRequest::Kind::kExplain: {
         if (req.facts.size() != 1) {
@@ -663,8 +680,8 @@ void Server::ServeChannelGroup(const std::string& channel_key,
   assignments.reserve(inline_evals.size());
   for (InlineEval& e : inline_evals) assignments.push_back(std::move(e.tags));
   const size_t B = assignments.size();
-  // Counters move before the responses do: a client that saw its future
-  // resolve must also see the sweep in stats(). max_batch tracks coalescing
+  // Counters move before the responses do: a client whose completion ran
+  // must also see the sweep in stats(). max_batch tracks coalescing
   // width (requests amortized per group), not tile width — it is the
   // statistic the throughput story rests on.
   evals_.fetch_add(B, std::memory_order_relaxed);

@@ -179,7 +179,7 @@ uint64_t Checksum(std::string_view payload) {
 /// Removes the temp file on every exit path unless Disarm()ed after the
 /// rename succeeds. SavePlan has three failure exits (open, short write,
 /// rename) and each used to decide cleanup on its own — the open and
-/// short-write paths forgot, leaving stray *.tmp files for the sharded
+/// short-write paths forgot, leaving stray *.tmp files for the
 /// store's startup sweep to find. std::remove on a never-created file is a
 /// harmless ENOENT.
 class TmpFileGuard {
@@ -464,7 +464,7 @@ Result<bool> SavePlan(const pipeline::CompiledPlan& plan,
   // file, the complete new one, or ENOENT — never a prefix. The guard owns
   // cleanup for every failure exit; only a completed rename disarms it.
   // (A crash between write and rename still strands the temp file — the
-  // sharded PlanStore sweeps stray *.tmp from its snapshot dir at startup.)
+  // PlanStore sweeps stray *.tmp from its snapshot dir at startup.)
   const std::string tmp = path + ".tmp";
   TmpFileGuard guard(tmp);
   {

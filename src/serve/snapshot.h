@@ -34,7 +34,7 @@
 // Saves write to `path.tmp` and rename into place, so a concurrent reader
 // never observes a torn file; every in-process failure path removes the
 // temp file (only a crash between write and rename can strand one, and the
-// sharded PlanStore sweeps stray *.tmp at startup). Loads mmap the file
+// PlanStore sweeps stray *.tmp at startup). Loads mmap the file
 // read-only where the platform allows (ifstream slurp elsewhere), so the
 // checksum + decode pass streams from the page cache without an up-front
 // whole-file copy. The format owns no compatibility promise beyond its

@@ -4,8 +4,10 @@
 // free what it evicts, and compile over a snapshot of an older format or of
 // another input space, the Server must serve inline evals, lanes, and
 // updates with values that match a plain batch evaluation
-// (tests/reference_eval.h), coalescing must actually batch, and the wire
-// JSON must parse/escape correctly. No test calls a Session while a Server
+// (tests/reference_eval.h), coalescing must actually batch, every request
+// must be answered exactly once through its completion (a ping only after
+// everything queued before it), and the wire JSON must parse/escape
+// correctly. No test calls a Session while a Server
 // compiles through it: references come first or from a second Session. The
 // concurrency stress test lives in serve_stress_test.cc.
 #include <gtest/gtest.h>
@@ -524,7 +526,6 @@ TEST(PlanStoreTest, EvictsColdPlansToSnapshotDirAndReloadsThem) {
   Session session = MakeFig1Session();
   serve::PlanStoreOptions options;
   options.snapshot_dir = dir;
-  options.num_shards = 4;
   options.max_resident_plans = 1;
   serve::PlanStore store(options);
 
@@ -1027,6 +1028,107 @@ TEST(ServerTest, PingFencesAndStopDrains) {
   serve::ServeResponse r = server.Submit(ping).get();
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("stopped"), std::string::npos);
+}
+
+TEST(ServerTest, PingFencesExactlyWhatWasQueuedBeforeIt) {
+  // A ping ends its burst, so its completion sees every request queued
+  // before it served and counted, and none queued after: the request behind
+  // it is neither counted nor has its channel yet.
+  Session session = MakeFig1Session();
+  serve::PlanStore store;
+  serve::ServerOptions options;
+  options.paused = true;
+  serve::Server server(session, store, options);
+  std::vector<uint32_t> facts = {session.FindFact("T", {"s", "t"}).value()};
+
+  auto tropical = server.Submit(
+      EvalRequest("tropical", {"1", "2", "3", "4", "5", "6", "7"}, facts));
+  serve::ServeRequest ping;
+  ping.kind = serve::ServeRequest::Kind::kPing;
+  serve::ServerStats at_fence;
+  std::vector<serve::ChannelBatchSummary> channels_at_fence;
+  server.Submit(ping, [&](serve::ServeResponse r) {
+    EXPECT_TRUE(r.ok) << r.error;
+    at_fence = server.stats();
+    channels_at_fence = server.ChannelSummaries();
+  });
+  auto counting = server.Submit(EvalRequest("counting", {}, facts));
+  server.Stop();  // drains the backlog and joins the dispatcher
+  EXPECT_TRUE(tropical.get().ok);
+  EXPECT_TRUE(counting.get().ok);
+
+  EXPECT_EQ(at_fence.requests, 2u);
+  EXPECT_EQ(at_fence.evals, 1u);
+  ASSERT_EQ(channels_at_fence.size(), 1u);
+  EXPECT_EQ(channels_at_fence[0].channel, "tropical/grounded");
+  EXPECT_EQ(server.stats().requests, 3u);
+  EXPECT_EQ(server.stats().evals, 2u);
+  EXPECT_EQ(server.ChannelSummaries().size(), 2u);
+}
+
+TEST(ServerTest, CompletionsRunOnceOnTheDispatcher) {
+  // One request of each kind, and one that errors: every completion runs
+  // exactly once, on the dispatcher rather than the submitting thread.
+  Session session = MakeFig1Session();
+  serve::PlanStore store;
+  serve::Server server(session, store);
+  const std::vector<uint32_t> facts = {
+      session.FindFact("T", {"s", "t"}).value()};
+  using Kind = serve::ServeRequest::Kind;
+  auto request = [&](Kind kind, const std::string& lane) {
+    serve::ServeRequest r =
+        EvalRequest("tropical", {"1", "2", "3", "4", "5", "6", "7"}, facts);
+    r.kind = kind;
+    r.lane = lane;
+    return r;
+  };
+  serve::ServeRequest update = request(Kind::kUpdate, "alice");
+  update.delta = {{0, "inf"}};
+  const std::vector<serve::ServeRequest> requests = {
+      request(Kind::kEval, ""),          request(Kind::kMakeLane, "alice"),
+      request(Kind::kEval, "alice"),     update,
+      request(Kind::kExplain, "alice"),  request(Kind::kDropLane, "alice"),
+      request(Kind::kPing, ""),          request(Kind::kEval, "nobody"),
+  };
+
+  struct Seen {
+    int calls = 0;
+    std::thread::id thread;
+    serve::ServeResponse response;
+  };
+  auto record = [](Seen* seen) {
+    return [seen](serve::ServeResponse r) {
+      ++seen->calls;
+      seen->thread = std::this_thread::get_id();
+      seen->response = std::move(r);
+    };
+  };
+  std::vector<Seen> seen(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    server.Submit(requests[i], record(&seen[i]));
+  }
+  server.Stop();  // joins the dispatcher, so every completion has run
+  const std::thread::id test_thread = std::this_thread::get_id();
+  for (size_t i = 0; i < requests.size(); ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    EXPECT_EQ(seen[i].calls, 1);
+    EXPECT_NE(seen[i].thread, test_thread);
+  }
+  for (size_t i = 0; i + 1 < requests.size(); ++i) {
+    EXPECT_TRUE(seen[i].response.ok)
+        << "request " << i << ": " << seen[i].response.error;
+  }
+  EXPECT_EQ(seen.back().response.error, "unknown lane `nobody`");
+  EXPECT_EQ(seen[3].response.values, std::vector<std::string>{"14"});
+  EXPECT_FALSE(seen[4].response.explain_json.empty());
+
+  // A stopped server answers on the submitting thread before Submit returns.
+  Seen stopped;
+  server.Submit(request(Kind::kPing, ""), record(&stopped));
+  EXPECT_EQ(stopped.calls, 1);
+  EXPECT_EQ(stopped.thread, test_thread);
+  EXPECT_FALSE(stopped.response.ok);
+  EXPECT_EQ(stopped.response.error, "server stopped");
 }
 
 TEST(ServerTest, ObsInstrumentationRecordsServingMetrics) {

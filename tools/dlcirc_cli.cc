@@ -38,6 +38,7 @@
 #include <cstdlib>
 #include <deque>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <iomanip>
 #include <iostream>
@@ -895,17 +896,16 @@ int Check(const Args& args) {
 }
 
 // ---------------------------------------------------------------------------
-// dlcirc serve: NDJSON request/response over stdin/stdout through the
-// src/serve broker. The main thread parses and submits; a writer thread
-// emits responses in request order (so coalescing never reorders output).
+// dlcirc serve: NDJSON request/response over stdin/stdout or TCP through the
+// src/serve broker. The reading thread translates and submits each line;
+// the broker's completion renders the response line on the dispatcher that
+// served it. Responses leave in request order (so coalescing never reorders
+// output): over TCP the SocketServer's per-connection slots restore it, on
+// stdin a writer thread prints the lines in submit order.
 // ---------------------------------------------------------------------------
 
-/// One request line, translated for the broker. `ready` non-empty means the
-/// line already failed (or needs no broker round-trip) and is emitted as is.
+/// What rendering a broker response needs besides the response itself.
 struct OutItem {
-  std::string ready;
-  bool has_future = false;
-  std::future<serve::ServeResponse> future;
   /// Aligned with response values. Shared, not copied: requests without an
   /// explicit query all point at the one default name vector — copying
   /// every target-fact name per request would dominate the reader thread
@@ -1020,13 +1020,12 @@ struct ServeContext {
   std::shared_ptr<const std::vector<std::string>> default_fact_names;
 };
 
-/// One translated request line. `submit` means `request` goes to the broker
-/// and the caller attaches the future; otherwise `item.ready` already holds
-/// the complete response line (parse/translation error).
+/// One translated request line. `request` goes to the broker unless
+/// `error_line` holds the complete response line (parse/translation error).
 struct Translated {
   OutItem item;
   serve::ServeRequest request;
-  bool submit = false;
+  std::string error_line;
 };
 
 /// "x3" / "3" / JSON number 3 -> EDB provenance variable.
@@ -1055,10 +1054,8 @@ Translated TranslateServeLine(const ServeContext& ctx, const std::string& line,
   Translated t;
   OutItem& item = t.item;
   auto set_fail = [&](const std::string& what) {
-    item.ready = ServeError(
+    t.error_line = ServeError(
         item.id_json, "line " + std::to_string(line_number) + ": " + what);
-    item.has_future = false;
-    t.submit = false;
   };
 
   Result<serve::JsonValue> parsed = serve::ParseJson(line);
@@ -1263,10 +1260,29 @@ Translated TranslateServeLine(const ServeContext& ctx, const std::string& line,
       request.explain_fact_name = (*item.fact_names)[0];
     }
   }
-
-  item.has_future = true;  // the caller attaches the future on submit
-  t.submit = true;
   return t;
+}
+
+/// Answers one translated line through `send`, exactly once: at once for a
+/// line that failed to translate, otherwise from the broker's completion on
+/// the dispatcher that served it. A `stats` or `metrics` line is a ping, so
+/// it renders once the broker has served everything queued before it.
+void Answer(const ServeContext& ctx, serve::Server& server,
+            const serve::PlanStore& store, Translated t,
+            std::function<void(std::string)> send) {
+  if (!t.error_line.empty()) {
+    send(std::move(t.error_line));
+    return;
+  }
+  server.Submit(
+      std::move(t.request),
+      [&server, &store, explain = ctx.args->explain, item = std::move(t.item),
+       send = std::move(send)](serve::ServeResponse response) {
+        send(!response.ok       ? RenderResponse(item, response, explain)
+             : item.is_stats   ? RenderStats(item.id_json, server, store)
+             : item.is_metrics ? RenderMetrics(item.id_json)
+                               : RenderResponse(item, response, explain));
+      });
 }
 
 // --listen shutdown: signals flip a flag the accept loop's owner polls.
@@ -1274,11 +1290,10 @@ volatile std::sig_atomic_t g_serve_stop = 0;
 void OnServeSignal(int) { g_serve_stop = 1; }
 
 /// The socket front door: SocketServer owns framing and response ordering,
-/// TranslateServeLine (shared with stdin mode) owns the protocol, and a
-/// pump thread waits on broker futures in submit order and hands each
-/// rendered line back to the owning connection's ordered slot. Admission
-/// control happens here, before Submit: once the broker queue is at
-/// capacity (or too many responses are in flight), the request gets a
+/// TranslateServeLine and Answer (shared with stdin mode) own the protocol,
+/// and each broker completion hands its rendered line straight to the
+/// owning connection's ordered slot. Admission control happens here, before
+/// Submit: once the broker queue is at capacity, the request gets a
 /// structured "busy" error instead of blocking the event loop on the
 /// bounded MPMC queue.
 int ServeListen(const Args& args, const ServeContext& ctx,
@@ -1309,42 +1324,6 @@ int ServeListen(const Args& args, const ServeContext& ctx,
   }
   net.max_connections = static_cast<uint32_t>(args.max_connections);
 
-  // Responses in flight: the pump waits on each future in submit order
-  // (completion order per connection is restored by the SocketServer's
-  // slots either way). Bounded so a flood of accepted requests cannot
-  // buffer unboundedly — overflowing it is a "busy" rejection.
-  struct NetPending {
-    OutItem item;
-    serve::SocketServer::Responder responder;
-  };
-  std::mutex pending_mu;
-  std::condition_variable pending_nonempty;
-  std::deque<NetPending> pending;
-  bool pending_done = false;
-  const size_t kMaxPendingResponses = 4096;
-
-  std::thread pump([&] {
-    while (true) {
-      NetPending p;
-      {
-        std::unique_lock<std::mutex> lock(pending_mu);
-        pending_nonempty.wait(
-            lock, [&] { return pending_done || !pending.empty(); });
-        if (pending.empty()) return;
-        p = std::move(pending.front());
-        pending.pop_front();
-      }
-      serve::ServeResponse response = p.item.future.get();
-      std::string line =
-          !response.ok ? RenderResponse(p.item, response, args.explain)
-          : p.item.is_stats ? RenderStats(p.item.id_json, server, store)
-          : p.item.is_metrics
-              ? RenderMetrics(p.item.id_json)
-              : RenderResponse(p.item, response, args.explain);
-      p.responder.Send(std::move(line));
-    }
-  });
-
   const size_t admission_depth = static_cast<size_t>(args.queue_capacity);
   uint64_t line_number = 0;  // event-loop thread only
   auto handler = [&](std::string&& line,
@@ -1357,39 +1336,20 @@ int ServeListen(const Args& args, const ServeContext& ctx,
       return;
     }
     Translated t = TranslateServeLine(ctx, line, line_number);
-    if (!t.submit) {
-      responder.Send(std::move(t.item.ready));
-      return;
-    }
-    if (server.queue_depth() >= admission_depth) {
+    if (t.error_line.empty() && server.queue_depth() >= admission_depth) {
       responder.Send(ServeError(
           t.item.id_json, "busy: request queue full, retry later"));
       return;
     }
-    {
-      std::lock_guard<std::mutex> lock(pending_mu);
-      if (pending.size() >= kMaxPendingResponses) {
-        responder.Send(ServeError(
-            t.item.id_json, "busy: too many responses in flight, retry later"));
-        return;
-      }
-      t.item.future = server.Submit(std::move(t.request));
-      pending.push_back({std::move(t.item), std::move(responder)});
-    }
-    pending_nonempty.notify_one();
+    Answer(ctx, server, store, std::move(t),
+           [responder = std::move(responder)](std::string response) mutable {
+             responder.Send(std::move(response));
+           });
   };
 
   serve::SocketServer sock;
   Result<bool> started = sock.Start(net, handler);
-  if (!started.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(pending_mu);
-      pending_done = true;
-    }
-    pending_nonempty.notify_all();
-    pump.join();
-    return Fail(started.error());
-  }
+  if (!started.ok()) return Fail(started.error());
   // Always announced (even under --quiet): with port 0 this line is the
   // only way to learn where the server actually bound.
   std::cerr << "dlcirc serve: listening on " << net.host << ":" << sock.port()
@@ -1404,15 +1364,9 @@ int ServeListen(const Args& args, const ServeContext& ctx,
   std::signal(SIGINT, old_int);
   std::signal(SIGTERM, old_term);
 
-  // Drain order: stop accepting/reading first, then let the pump finish
-  // every future already submitted, then stop the broker.
+  // Drain order: stop accepting/reading first, then let the broker serve
+  // what it already accepted (answers to closed connections are dropped).
   sock.Stop();
-  {
-    std::lock_guard<std::mutex> lock(pending_mu);
-    pending_done = true;
-  }
-  pending_nonempty.notify_all();
-  pump.join();
   server.Stop();
 
   if (!args.quiet) {
@@ -1514,58 +1468,48 @@ int Serve(const Args& args) {
   }
   std::istream& in = args.requests_file.empty() ? std::cin : requests_file;
 
-  // Ordered, bounded response pipeline: the writer blocks on each future in
-  // turn, so responses come out in request order however the broker
-  // coalesces; the bound keeps a fast producer from buffering unboundedly.
+  // Ordered, bounded response pipeline: each line's answer arrives through a
+  // future its completion fulfils, and the writer prints them in request
+  // order however the broker coalesces; the bound keeps a fast producer
+  // from buffering unboundedly.
   std::mutex out_mu;
   std::condition_variable out_nonempty, out_space;
-  std::deque<OutItem> out_queue;
+  std::deque<std::future<std::string>> out_queue;
   bool out_done = false;
   const size_t kMaxPendingResponses = 4096;
 
   std::thread writer([&] {
     while (true) {
-      OutItem item;
+      std::future<std::string> answer;
       {
         std::unique_lock<std::mutex> lock(out_mu);
         out_nonempty.wait(lock, [&] { return out_done || !out_queue.empty(); });
         if (out_queue.empty()) return;
-        item = std::move(out_queue.front());
+        answer = std::move(out_queue.front());
         out_queue.pop_front();
       }
       out_space.notify_one();
-      std::string line;
-      if (item.has_future) {
-        serve::ServeResponse response = item.future.get();
-        line = !response.ok ? RenderResponse(item, response, args.explain)
-               : item.is_stats ? RenderStats(item.id_json, server, store)
-               : item.is_metrics ? RenderMetrics(item.id_json)
-                                 : RenderResponse(item, response, args.explain);
-      } else {
-        line = std::move(item.ready);
-      }
-      std::cout << line << "\n" << std::flush;
+      std::cout << answer.get() << "\n" << std::flush;
     }
   });
-
-  auto emit = [&](OutItem item) {
-    {
-      std::unique_lock<std::mutex> lock(out_mu);
-      out_space.wait(lock,
-                     [&] { return out_queue.size() < kMaxPendingResponses; });
-      out_queue.push_back(std::move(item));
-    }
-    out_nonempty.notify_one();
-  };
 
   std::string line;
   uint64_t line_number = 0;
   while (std::getline(in, line)) {
     ++line_number;
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    Translated t = TranslateServeLine(ctx, line, line_number);
-    if (t.submit) t.item.future = server.Submit(std::move(t.request));
-    emit(std::move(t.item));
+    auto answered = std::make_shared<std::promise<std::string>>();
+    {
+      std::unique_lock<std::mutex> lock(out_mu);
+      out_space.wait(lock,
+                     [&] { return out_queue.size() < kMaxPendingResponses; });
+      out_queue.push_back(answered->get_future());
+    }
+    out_nonempty.notify_one();
+    Answer(ctx, server, store, TranslateServeLine(ctx, line, line_number),
+           [answered](std::string response) {
+             answered->set_value(std::move(response));
+           });
   }
 
   {
