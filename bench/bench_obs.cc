@@ -1,10 +1,12 @@
 // E16 — observability overhead (src/obs): the instrumentation is only
 // admissible if it is free when disabled and near-free when enabled.
 //
-// Part 1 (micro): ns/op for the three hot primitives — Counter::Inc,
-// Histogram::Record, and Histogram::StartTimeNs/RecordSince (the timer
-// pair) — with the registry disabled vs enabled. Disabled must be a
-// single relaxed load (sub-ns to ~1 ns on any modern core).
+// Part 1 (micro): ns/op for the two hot primitives — Histogram::Record and
+// Histogram::StartTimeNs/RecordSince (the timer pair) — with the registry
+// disabled vs enabled. Disabled must be a single relaxed load (sub-ns to
+// ~1 ns on any modern core). The registry holds only histograms: counts
+// are plain always-on atomics in their owners (serve::ServerStats and
+// friends), so there is no counter primitive to gate.
 //
 // Part 2 (macro): the E14 closed-loop serve workload (tropical TC, eval
 // requests, 4 clients) run three ways — registry disabled, registry
@@ -78,22 +80,15 @@ double NsPerOp(uint64_t iters, uint64_t* sink, Fn&& body) {
 
 std::vector<MicroPoint> RunMicro(uint64_t iters) {
   obs::Registry& reg = obs::Registry::Default();
-  obs::Counter& counter =
-      reg.GetCounter("dlcirc_bench_obs_counter", "", "E16 micro counter");
   obs::Histogram& hist =
       reg.GetHistogram("dlcirc_bench_obs_hist", "", "E16 micro histogram");
 
   uint64_t sink = 0;
-  std::vector<MicroPoint> points(3);
-  points[0].op = "counter_inc";
-  points[1].op = "histogram_record";
-  points[2].op = "timer_pair";
+  std::vector<MicroPoint> points(2);
+  points[0].op = "histogram_record";
+  points[1].op = "timer_pair";
   for (bool enabled : {false, true}) {
     reg.set_enabled(enabled);
-    double inc_ns = NsPerOp(iters, &sink, [&](uint64_t i) {
-      counter.Inc();
-      return i & 1;
-    });
     double rec_ns = NsPerOp(iters, &sink, [&](uint64_t i) {
       hist.Record(i & 0xffff);
       return i & 1;
@@ -105,9 +100,8 @@ std::vector<MicroPoint> RunMicro(uint64_t iters) {
       hist.RecordSince(t);
       return i & 1;
     });
-    (enabled ? points[0].enabled_ns : points[0].disabled_ns) = inc_ns;
-    (enabled ? points[1].enabled_ns : points[1].disabled_ns) = rec_ns;
-    (enabled ? points[2].enabled_ns : points[2].disabled_ns) = timer_ns;
+    (enabled ? points[0].enabled_ns : points[0].disabled_ns) = rec_ns;
+    (enabled ? points[1].enabled_ns : points[1].disabled_ns) = timer_ns;
   }
   reg.set_enabled(false);
   if (sink == 0xdeadbeef) std::cout << "";  // keep `sink` observable
@@ -241,7 +235,7 @@ int main(int argc, char** argv) {
   if (small) duration_ms = std::min(duration_ms, 250.0);
 
   bench::Banner("E16", "src/obs (metrics + tracing overhead)",
-                "ns/op for disabled vs enabled counters/histograms, and "
+                "ns/op for disabled vs enabled histograms, and "
                 "closed-loop serve QPS/p99 with instrumentation off/on/on+"
                 "trace");
 

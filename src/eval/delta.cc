@@ -49,18 +49,11 @@ void RecordUpdateObs(const DeltaStats& stats, size_t num_slots,
                      size_t num_marked) {
   obs::Registry& reg = obs::Registry::Default();
   if (!reg.enabled()) return;
-  static obs::Counter& updates = reg.GetCounter(
-      "dlcirc_delta_updates_total", "", "Incremental tag updates applied");
-  static obs::Counter& fallbacks = reg.GetCounter(
-      "dlcirc_delta_fallbacks_total", "",
-      "Updates whose dirty cone blew the budget (full re-eval ran)");
   static obs::Histogram& dirty_ppm = reg.GetHistogram(
       "dlcirc_delta_dirty_ppm", "",
       "Plan slots marked dirty per update, parts per million");
   static obs::Histogram& recomputed = reg.GetHistogram(
       "dlcirc_delta_recomputed", "", "Gates re-evaluated per update");
-  updates.Inc();
-  if (stats.full_fallback) fallbacks.Inc();
   if (num_slots > 0) {
     dirty_ppm.Record(static_cast<uint64_t>(num_marked) * 1000000 / num_slots);
   }

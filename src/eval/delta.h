@@ -129,9 +129,9 @@ struct DeltaStats {
 };
 
 namespace internal {
-/// Obs hook for IncrementalEvaluator::Update — update counts, fallback
-/// counts, and the dirty-fraction distribution (parts-per-million of plan
-/// slots marked). Defined in delta.cc so the header-templated Update calls
+/// Obs hook for IncrementalEvaluator::Update — the recomputed-gates and
+/// dirty-fraction distributions (parts-per-million of plan slots marked);
+/// the recomputed histogram's count is the update count. Defined in delta.cc so the header-templated Update calls
 /// one opaque function per update instead of inlining registry machinery
 /// into every semiring instantiation; it early-outs while the default
 /// registry is disabled.

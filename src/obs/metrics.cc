@@ -63,46 +63,16 @@ Registry& Registry::Default() {
   return *r;
 }
 
-Registry::Entry& Registry::GetEntry(Kind kind, std::string_view name,
-                                    std::string_view labels,
-                                    std::string_view help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto key = std::make_pair(std::string(name), std::string(labels));
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    Entry entry;
-    entry.kind = kind;
-    entry.help = std::string(help);
-    switch (kind) {
-      case Kind::kCounter:
-        entry.counter.reset(new Counter(&enabled_));
-        break;
-      case Kind::kGauge:
-        entry.gauge.reset(new Gauge(&enabled_));
-        break;
-      case Kind::kHistogram:
-        entry.histogram.reset(new Histogram(&enabled_));
-        break;
-    }
-    it = entries_.emplace(std::move(key), std::move(entry)).first;
-  }
-  return it->second;
-}
-
-Counter& Registry::GetCounter(std::string_view name, std::string_view labels,
-                              std::string_view help) {
-  return *GetEntry(Kind::kCounter, name, labels, help).counter;
-}
-
-Gauge& Registry::GetGauge(std::string_view name, std::string_view labels,
-                          std::string_view help) {
-  return *GetEntry(Kind::kGauge, name, labels, help).gauge;
-}
-
 Histogram& Registry::GetHistogram(std::string_view name,
                                   std::string_view labels,
                                   std::string_view help) {
-  return *GetEntry(Kind::kHistogram, name, labels, help).histogram;
+  std::lock_guard<std::mutex> lock(mu_);
+  Entry& e = entries_[{std::string(name), std::string(labels)}];
+  if (e.histogram == nullptr) {
+    e.help = std::string(help);
+    e.histogram.reset(new Histogram(&enabled_));
+  }
+  return *e.histogram;
 }
 
 namespace {
@@ -131,42 +101,26 @@ std::string Registry::RenderPrometheus() const {
     if (!e.help.empty() &&
         (last_name_with_help == nullptr || *last_name_with_help != name)) {
       out << "# HELP " << name << ' ' << e.help << '\n';
-      const char* type = e.kind == Kind::kCounter
-                             ? "counter"
-                             : e.kind == Kind::kGauge ? "gauge" : "summary";
-      out << "# TYPE " << name << ' ' << type << '\n';
+      out << "# TYPE " << name << " summary\n";
       last_name_with_help = &name;
     }
-    switch (e.kind) {
-      case Kind::kCounter:
-        AppendSeries(out, name, labels, "");
-        out << ' ' << e.counter->Value() << '\n';
-        break;
-      case Kind::kGauge:
-        AppendSeries(out, name, labels, "");
-        out << ' ' << e.gauge->Value() << '\n';
-        break;
-      case Kind::kHistogram: {
-        const LocalHistogram snap = e.histogram->Snapshot();
-        static const struct {
-          const char* label;
-          double q;
-        } kQuantiles[] = {{"quantile=\"0.5\"", 0.5},
-                          {"quantile=\"0.9\"", 0.9},
-                          {"quantile=\"0.99\"", 0.99}};
-        for (const auto& qv : kQuantiles) {
-          AppendSeries(out, name, labels, qv.label);
-          out << ' ' << snap.Quantile(qv.q) << '\n';
-        }
-        AppendSeries(out, name + "_sum", labels, "");
-        out << ' ' << snap.sum() << '\n';
-        AppendSeries(out, name + "_count", labels, "");
-        out << ' ' << snap.count() << '\n';
-        AppendSeries(out, name + "_max", labels, "");
-        out << ' ' << snap.max() << '\n';
-        break;
-      }
+    const LocalHistogram snap = e.histogram->Snapshot();
+    static const struct {
+      const char* label;
+      double q;
+    } kQuantiles[] = {{"quantile=\"0.5\"", 0.5},
+                      {"quantile=\"0.9\"", 0.9},
+                      {"quantile=\"0.99\"", 0.99}};
+    for (const auto& qv : kQuantiles) {
+      AppendSeries(out, name, labels, qv.label);
+      out << ' ' << snap.Quantile(qv.q) << '\n';
     }
+    AppendSeries(out, name + "_sum", labels, "");
+    out << ' ' << snap.sum() << '\n';
+    AppendSeries(out, name + "_count", labels, "");
+    out << ' ' << snap.count() << '\n';
+    AppendSeries(out, name + "_max", labels, "");
+    out << ' ' << snap.max() << '\n';
   }
   return out.str();
 }
@@ -174,27 +128,11 @@ std::string Registry::RenderPrometheus() const {
 void Registry::ResetValuesForTest() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& kv : entries_) {
-    Entry& e = kv.second;
-    switch (e.kind) {
-      case Kind::kCounter:
-        for (internal::Shard& s : e.counter->shards_) {
-          s.v.store(0, std::memory_order_relaxed);
-        }
-        break;
-      case Kind::kGauge:
-        for (internal::Shard& s : e.gauge->shards_) {
-          s.v.store(0, std::memory_order_relaxed);
-        }
-        break;
-      case Kind::kHistogram: {
-        Histogram& h = *e.histogram;
-        for (auto& b : h.buckets_) b.store(0, std::memory_order_relaxed);
-        h.count_.store(0, std::memory_order_relaxed);
-        h.sum_.store(0, std::memory_order_relaxed);
-        h.max_.store(0, std::memory_order_relaxed);
-        break;
-      }
-    }
+    Histogram& h = *kv.second.histogram;
+    for (auto& b : h.buckets_) b.store(0, std::memory_order_relaxed);
+    h.count_.store(0, std::memory_order_relaxed);
+    h.sum_.store(0, std::memory_order_relaxed);
+    h.max_.store(0, std::memory_order_relaxed);
   }
 }
 

@@ -1,23 +1,24 @@
-// Observability metrics: named counters, gauges, and latency histograms.
+// Observability metrics: latency and size histograms.
 //
 // The serving stack (src/serve), the pipeline (src/pipeline), and the eval
-// engine (src/eval) all report through one process-wide Registry. The design
-// constraints, in order:
+// engine (src/eval) record distributions into one process-wide Registry.
+// Counts and levels do not live here: each owner keeps them in its own
+// always-on stats (serve::ServerStats, PlanStoreStats, NetStats), and
+// src/serve renders those beside this registry's exposition, so every event
+// is counted in one place. The design constraints, in order:
 //
-//   1. Near-zero cost while disabled. Every Inc/Add/Record starts with one
-//      relaxed atomic load of the registry's enable flag and branches away;
-//      no clock is read, no cache line is written. The registry starts
+//   1. Near-zero cost while disabled. Every Record starts with one relaxed
+//      atomic load of the registry's enable flag and branches away; no
+//      clock is read, no cache line is written. The registry starts
 //      disabled, so a library user who never opts in pays a predictable,
 //      branch-predicted test per instrumentation point and nothing else
 //      (measured in EXPERIMENTS.md E16).
-//   2. Lock-free on the hot path while enabled. Counters and gauges shard
-//      across cache-line-padded atomic slots indexed by a per-thread id, so
-//      concurrent writers on different threads touch different lines;
-//      histograms use relaxed atomic bucket adds (bucket contention is
-//      spread by the value distribution itself). Reads (Value, Snapshot,
-//      RenderPrometheus) sum over shards/buckets and may observe a torn
-//      *set* of concurrent updates — each individual update is atomic and
-//      none is lost, which is the usual monitoring contract.
+//   2. Lock-free on the hot path while enabled. Histograms use relaxed
+//      atomic bucket adds (bucket contention is spread by the value
+//      distribution itself). Reads (Snapshot, RenderPrometheus) sum over
+//      buckets and may observe a torn *set* of concurrent updates — each
+//      individual update is atomic and none is lost, which is the usual
+//      monitoring contract.
 //   3. Quantiles without samples. Histograms are log-bucketed (8 sub-buckets
 //      per power of two): values 0..15 are exact, larger values land in a
 //      bucket whose width is 1/8 of its magnitude, so any nearest-rank
@@ -27,10 +28,10 @@
 //      mergeable across threads and processes, and never grow.
 //
 // Metric identity is (name, labels): `GetHistogram("dlcirc_serve_batch_size",
-// "channel=\"tropical/grounded\"")`. Get* registers on first use and returns
-// a stable reference; hot paths resolve once and keep the reference.
-// RenderPrometheus emits the text exposition format (counters and gauges as
-// themselves, histograms as summaries with p50/p90/p99 quantile lines).
+// "channel=\"tropical/grounded\"")`. GetHistogram registers on first use and
+// returns a stable reference; hot paths resolve once and keep the reference.
+// RenderPrometheus emits the text exposition format (histograms as summaries
+// with p50/p90/p99 quantile lines).
 //
 // No dependencies outside src/util; src/eval, src/pipeline, and src/serve
 // depend on this module, never the reverse.
@@ -57,67 +58,8 @@ namespace obs {
 uint64_t NowNs();
 
 /// Dense small id for the calling thread (0, 1, 2, ... in first-call order).
-/// Shards counters and labels trace events; stable for the thread's life.
+/// Labels trace events; stable for the thread's life.
 uint32_t ThreadIndex();
-
-/// Counter/gauge shard count. Power of two; threads map onto shards by
-/// ThreadIndex() & (kShards - 1), so up to kShards writers never share a
-/// cache line.
-inline constexpr size_t kShards = 16;
-
-namespace internal {
-struct alignas(64) Shard {
-  std::atomic<uint64_t> v{0};
-};
-}  // namespace internal
-
-/// Monotonically increasing event count. Inc is lock-free and wait-free.
-class Counter {
- public:
-  void Inc(uint64_t n = 1) {
-    if (!enabled_->load(std::memory_order_relaxed)) return;
-    shards_[ThreadIndex() & (kShards - 1)].v.fetch_add(
-        n, std::memory_order_relaxed);
-  }
-  uint64_t Value() const {
-    uint64_t total = 0;
-    for (const internal::Shard& s : shards_) {
-      total += s.v.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
- private:
-  friend class Registry;
-  explicit Counter(const std::atomic<bool>* enabled) : enabled_(enabled) {}
-  const std::atomic<bool>* enabled_;
-  std::array<internal::Shard, kShards> shards_;
-};
-
-/// Signed up/down value (queue depth, live lanes). Add is lock-free; Value
-/// is the sum of per-shard deltas, so transient negatives never occur as
-/// long as every Add(+d) precedes its matching Add(-d) in real time.
-class Gauge {
- public:
-  void Add(int64_t delta) {
-    if (!enabled_->load(std::memory_order_relaxed)) return;
-    shards_[ThreadIndex() & (kShards - 1)].v.fetch_add(
-        static_cast<uint64_t>(delta), std::memory_order_relaxed);
-  }
-  int64_t Value() const {
-    uint64_t total = 0;
-    for (const internal::Shard& s : shards_) {
-      total += s.v.load(std::memory_order_relaxed);
-    }
-    return static_cast<int64_t>(total);
-  }
-
- private:
-  friend class Registry;
-  explicit Gauge(const std::atomic<bool>* enabled) : enabled_(enabled) {}
-  const std::atomic<bool>* enabled_;
-  std::array<internal::Shard, kShards> shards_;
-};
 
 /// The log-bucket layout shared by Histogram (atomic) and LocalHistogram
 /// (plain). Values 0..2*kSubBuckets-1 get one exact bucket each; beyond
@@ -271,11 +213,11 @@ class ScopedTimer {
   uint64_t start_;
 };
 
-/// Process-wide named-metric registry. Get* registers (name, labels) on
-/// first use under a mutex and returns a stable reference — resolve once,
-/// then the metric itself is lock-free. Disabled at construction; flipping
-/// set_enabled(true) activates every metric retroactively (they share the
-/// registry's flag).
+/// Process-wide named-histogram registry. GetHistogram registers (name,
+/// labels) on first use under a mutex and returns a stable reference —
+/// resolve once, then the histogram itself is lock-free. Disabled at
+/// construction; flipping set_enabled(true) activates every histogram
+/// retroactively (they share the registry's flag).
 class Registry {
  public:
   Registry() = default;
@@ -293,40 +235,29 @@ class Registry {
   /// `labels` is the rendered Prometheus label body without braces, e.g.
   /// `channel="tropical/grounded"`, or empty. `help` is kept from the first
   /// registration of `name`.
-  Counter& GetCounter(std::string_view name, std::string_view labels = "",
-                      std::string_view help = "");
-  Gauge& GetGauge(std::string_view name, std::string_view labels = "",
-                  std::string_view help = "");
   Histogram& GetHistogram(std::string_view name, std::string_view labels = "",
                           std::string_view help = "");
 
-  /// Prometheus text exposition: counters/gauges verbatim, histograms as
-  /// summaries (quantile="0.5|0.9|0.99" lines plus _sum/_count/_max).
-  /// Metrics sort by (name, labels); empty metrics still render (a counter
-  /// at 0 is information).
+  /// Prometheus text exposition: histograms as summaries
+  /// (quantile="0.5|0.9|0.99" lines plus _sum/_count/_max), sorted by
+  /// (name, labels); empty histograms still render (a count of 0 is
+  /// information).
   std::string RenderPrometheus() const;
 
-  /// Zeroes every registered metric (counts, buckets, gauges). For tests
-  /// and benches that need a clean slate without a process restart;
-  /// concurrent writers may land increments during the sweep.
+  /// Zeroes every registered histogram. For tests and benches that need a
+  /// clean slate without a process restart; concurrent writers may land
+  /// samples during the sweep.
   void ResetValuesForTest();
 
  private:
-  enum class Kind : uint8_t { kCounter, kGauge, kHistogram };
   struct Entry {
-    Kind kind;
     std::string help;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
 
-  Entry& GetEntry(Kind kind, std::string_view name, std::string_view labels,
-                  std::string_view help);
-
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;  ///< guards registration and iteration, not updates
-  /// (name, labels) -> metric; std::map for stable references and sorted
+  /// (name, labels) -> histogram; std::map for stable references and sorted
   /// exposition output.
   std::map<std::pair<std::string, std::string>, Entry> entries_;
 };

@@ -91,7 +91,13 @@ struct SocketServer::Impl {
 
 SocketServer::SocketServer() : impl_(new Impl) {}
 
-SocketServer::~SocketServer() { Stop(); }
+SocketServer::~SocketServer() {
+  Stop();
+  if (impl_->wake_rd >= 0) {
+    ::close(impl_->wake_rd);
+    ::close(impl_->wake_wr);
+  }
+}
 
 void SocketServer::Responder::Send(std::string line) {
   if (server_ == nullptr || conn_ == nullptr) return;
@@ -149,17 +155,7 @@ Result<bool> SocketServer::Start(const NetOptions& options, Handler handler) {
   options_ = options;
   handler_ = std::move(handler);
 
-  obs::Registry& reg = obs::Registry::Default();
-  accepted_total_ = &reg.GetCounter("dlcirc_net_accepted_total", "",
-                                    "TCP connections admitted");
-  rejected_total_ = &reg.GetCounter(
-      "dlcirc_net_rejected_total", "",
-      "TCP connections refused at the connection cap");
-  lines_total_ =
-      &reg.GetCounter("dlcirc_net_lines_total", "", "request lines received");
-  connections_gauge_ =
-      &reg.GetGauge("dlcirc_net_connections", "", "open TCP connections");
-  request_ns_ = &reg.GetHistogram(
+  request_ns_ = &obs::Registry::Default().GetHistogram(
       "dlcirc_net_request_ns", "",
       "line received to response enqueued, nanoseconds");
 
@@ -207,18 +203,24 @@ Result<bool> SocketServer::Start(const NetOptions& options, Handler handler) {
     }
   }
 
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    ::close(fd);
-    return Result<bool>::Error(std::string("cannot create wake pipe: ") +
-                               std::strerror(errno));
+  // The wake pipe outlives Stop(): a completion that passed its `alive`
+  // check may still be writing to it after the loop is joined, so it is
+  // created once, before any Responder exists, and closed only by the
+  // destructor (completions must not outlive the SocketServer).
+  if (impl_->wake_rd < 0) {
+    int pipe_fds[2];
+    if (::pipe(pipe_fds) != 0) {
+      ::close(fd);
+      return Result<bool>::Error(std::string("cannot create wake pipe: ") +
+                                 std::strerror(errno));
+    }
+    SetNonBlocking(pipe_fds[0]);
+    SetNonBlocking(pipe_fds[1]);
+    impl_->wake_rd = pipe_fds[0];
+    impl_->wake_wr = pipe_fds[1];
   }
-  SetNonBlocking(pipe_fds[0]);
-  SetNonBlocking(pipe_fds[1]);
 
   impl_->listen_fd = fd;
-  impl_->wake_rd = pipe_fds[0];
-  impl_->wake_wr = pipe_fds[1];
   impl_->stop.store(false);
   started_ = true;
   loop_ = std::thread([this] { Loop(); });
@@ -231,9 +233,7 @@ void SocketServer::Stop() {
   Wake();
   if (loop_.joinable()) loop_.join();
   ::close(impl_->listen_fd);
-  ::close(impl_->wake_rd);
-  ::close(impl_->wake_wr);
-  impl_->listen_fd = impl_->wake_rd = impl_->wake_wr = -1;
+  impl_->listen_fd = -1;
   started_ = false;
 }
 
@@ -259,10 +259,6 @@ void SocketServer::Loop() {
     std::lock_guard<std::mutex> lock(impl_->conns_mu);
     impl_->conns = conns;
     impl_->active.store(static_cast<uint32_t>(conns.size()));
-    if (connections_gauge_ != nullptr) {
-      connections_gauge_->Add(static_cast<int64_t>(conns.size()) -
-                              connections_gauge_->Value());
-    }
   };
 
   auto close_conn = [&](const std::shared_ptr<Conn>& conn) {
@@ -310,7 +306,6 @@ void SocketServer::Loop() {
           WriteLineBestEffort(cfd, options_.reject_line);
           ::close(cfd);
           impl_->rejected.fetch_add(1);
-          if (rejected_total_ != nullptr) rejected_total_->Inc();
           continue;
         }
         SetNonBlocking(cfd);
@@ -320,7 +315,6 @@ void SocketServer::Loop() {
         conn->fd = cfd;
         conns.push_back(std::move(conn));
         impl_->accepted.fetch_add(1);
-        if (accepted_total_ != nullptr) accepted_total_->Inc();
       }
     }
 
@@ -354,7 +348,6 @@ void SocketServer::Loop() {
                 ++conn->pending;
               }
               impl_->lines.fetch_add(1);
-              if (lines_total_ != nullptr) lines_total_->Inc();
               const uint64_t start_ns =
                   request_ns_ != nullptr ? request_ns_->StartTimeNs() : 0;
               handler_(std::move(line),
@@ -430,10 +423,6 @@ void SocketServer::Loop() {
   for (const auto& conn : conns) close_conn(conn);
   conns.clear();
   publish_conns();
-  // The fds themselves are closed by Stop() after the join: Wake() may be
-  // mid-write on the pipe from another thread right up until every
-  // connection is marked dead, so the loop thread must not pull the fds
-  // out from under it.
 }
 
 }  // namespace serve

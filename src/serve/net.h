@@ -51,8 +51,6 @@
 
 namespace dlcirc {
 namespace obs {
-class Counter;
-class Gauge;
 class Histogram;
 }  // namespace obs
 
@@ -91,8 +89,9 @@ struct NetStats {
 class SocketServer {
  public:
   /// Single-use, thread-safe completion for one request line. Send may be
-  /// called from any thread, at most once; after the connection dies it is
-  /// a harmless no-op. The line is sent verbatim plus a trailing '\n'.
+  /// called from any thread, at most once, while the SocketServer exists;
+  /// after the connection dies (or Stop()) it is a harmless no-op. The line
+  /// is sent verbatim plus a trailing '\n'.
   class Responder {
    public:
     Responder() = default;
@@ -149,10 +148,6 @@ class SocketServer {
   uint16_t port_ = 0;
   bool started_ = false;
 
-  obs::Counter* accepted_total_ = nullptr;
-  obs::Counter* rejected_total_ = nullptr;
-  obs::Counter* lines_total_ = nullptr;
-  obs::Gauge* connections_gauge_ = nullptr;
   obs::Histogram* request_ns_ = nullptr;
 };
 

@@ -37,18 +37,6 @@ PlanStore::PlanStore(PlanStoreOptions options)
     SweepStrayTempFiles(options_.snapshot_dir);
   }
   obs::Registry& reg = obs::Registry::Default();
-  obs_hits_ = &reg.GetCounter("dlcirc_plan_store_hits_total", "",
-                              "Plan lookups served from the registry");
-  obs_misses_ = &reg.GetCounter("dlcirc_plan_store_misses_total", "",
-                                "Plan lookups that left the registry");
-  obs_compiles_ = &reg.GetCounter("dlcirc_plan_store_compiles_total", "",
-                                  "Cold compiles through a Session");
-  obs_loads_ = &reg.GetCounter("dlcirc_plan_store_snapshot_loads_total", "",
-                               "Warm starts off a snapshot file");
-  obs_saves_ = &reg.GetCounter("dlcirc_plan_store_snapshot_saves_total", "",
-                               "Fresh compiles persisted to disk");
-  obs_evictions_ = &reg.GetCounter("dlcirc_plan_store_evictions_total", "",
-                                   "Cold plans evicted to the snapshot dir");
   obs_compile_ns_ = &reg.GetHistogram("dlcirc_plan_compile_ns", "",
                                       "Cold plan compile time, nanoseconds");
   obs_load_ns_ = &reg.GetHistogram("dlcirc_plan_snapshot_load_ns", "",
@@ -69,7 +57,6 @@ std::shared_ptr<const pipeline::CompiledPlan> PlanStore::FindLocked(
   if (it == plans_.end()) return nullptr;
   it->second.last_used = ++tick_;
   hits_.fetch_add(1, std::memory_order_relaxed);
-  obs_hits_->Inc();
   return it->second.plan;
 }
 
@@ -87,7 +74,6 @@ Result<std::shared_ptr<const pipeline::CompiledPlan>> PlanStore::GetOrCompile(
     std::lock_guard<std::mutex> lock(mu_);
     if (auto plan = FindLocked(store_key)) return plan;
   }
-  obs_misses_->Inc();
 
   // Miss: take the compile lock, re-check (another thread may have finished
   // the same compile while we waited), then snapshot-load or compile.
@@ -136,7 +122,6 @@ Result<std::shared_ptr<const pipeline::CompiledPlan>> PlanStore::GetOrCompile(
       if (SavePlan(*plan, store_key.program_digest, store_key.edb_digest, path)
               .ok()) {
         snapshot_saves_.fetch_add(1, std::memory_order_relaxed);
-        obs_saves_->Inc();
         on_disk = true;
       }
     }
@@ -144,10 +129,8 @@ Result<std::shared_ptr<const pipeline::CompiledPlan>> PlanStore::GetOrCompile(
 
   if (from_snapshot) {
     snapshot_loads_.fetch_add(1, std::memory_order_relaxed);
-    obs_loads_->Inc();
   } else {
     compiles_.fetch_add(1, std::memory_order_relaxed);
-    obs_compiles_->Inc();
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -181,12 +164,10 @@ void PlanStore::EvictIfNeeded() {
         return;
       }
       snapshot_saves_.fetch_add(1, std::memory_order_relaxed);
-      obs_saves_->Inc();
       entry.on_disk = true;
     }
     plans_.erase(victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    obs_evictions_->Inc();
   }
 }
 

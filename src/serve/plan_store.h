@@ -118,15 +118,8 @@ class PlanStore {
   void EvictIfNeeded();
 
   PlanStoreOptions options_;
-  // Obs series (default registry, resolved at construction): the counters
-  // mirror PlanStoreStats for the Prometheus exposition; the histograms add
-  // the cost distribution of the rare events (compiles, snapshot loads).
-  obs::Counter* obs_hits_ = nullptr;        ///< dlcirc_plan_store_hits_total
-  obs::Counter* obs_misses_ = nullptr;      ///< dlcirc_plan_store_misses_total
-  obs::Counter* obs_compiles_ = nullptr;    ///< dlcirc_plan_store_compiles_total
-  obs::Counter* obs_loads_ = nullptr;       ///< ..._snapshot_loads_total
-  obs::Counter* obs_saves_ = nullptr;       ///< ..._snapshot_saves_total
-  obs::Counter* obs_evictions_ = nullptr;   ///< ..._evictions_total
+  // Cost distributions of the rare events (default registry, resolved at
+  // construction); the counts live in the atomics below.
   obs::Histogram* obs_compile_ns_ = nullptr;  ///< dlcirc_plan_compile_ns
   obs::Histogram* obs_load_ns_ = nullptr;     ///< dlcirc_plan_snapshot_load_ns
 

@@ -1,11 +1,79 @@
 #include "src/serve/server.h"
 
 #include <algorithm>
+#include <sstream>
 
+#include "src/serve/net.h"
 #include "src/util/check.h"
 
 namespace dlcirc {
 namespace serve {
+
+std::string RenderStatsPrometheus(const ServerStats& server,
+                                  size_t queue_depth,
+                                  const PlanStoreStats& plans,
+                                  const NetStats* net) {
+  std::ostringstream out;
+  auto emit = [&out](const char* name, const char* type, uint64_t value,
+                     const char* help) {
+    out << "# HELP " << name << ' ' << help << "\n# TYPE " << name << ' '
+        << type << '\n'
+        << name << ' ' << value << '\n';
+  };
+  if (net != nullptr) {
+    emit("dlcirc_net_accepted_total", "counter", net->accepted,
+         "TCP connections admitted");
+    emit("dlcirc_net_rejected_total", "counter", net->rejected,
+         "TCP connections refused at the connection cap");
+    emit("dlcirc_net_closed_total", "counter", net->closed,
+         "Admitted TCP connections since closed");
+    emit("dlcirc_net_lines_total", "counter", net->lines,
+         "Request lines received");
+    emit("dlcirc_net_oversized_total", "counter", net->oversized,
+         "Request lines dropped for exceeding the line limit");
+    emit("dlcirc_net_overflowed_total", "counter", net->overflowed,
+         "Connections closed for write-buffer overflow");
+    emit("dlcirc_net_connections", "gauge", net->active,
+         "Open TCP connections");
+  }
+  emit("dlcirc_plan_store_hits_total", "counter", plans.hits,
+       "Plan lookups served from memory");
+  emit("dlcirc_plan_store_compiles_total", "counter", plans.compiles,
+       "Cold compiles through a Session");
+  emit("dlcirc_plan_store_snapshot_loads_total", "counter",
+       plans.snapshot_loads, "Warm starts off a snapshot file");
+  emit("dlcirc_plan_store_snapshot_saves_total", "counter",
+       plans.snapshot_saves, "Compiled plans persisted to disk");
+  emit("dlcirc_plan_store_evictions_total", "counter", plans.evictions,
+       "Cold plans evicted to the snapshot dir");
+  emit("dlcirc_plan_store_resident", "gauge", plans.resident,
+       "Plans held in memory");
+  emit("dlcirc_serve_requests_total", "counter", server.requests,
+       "Requests taken off the serve queue");
+  emit("dlcirc_serve_evals_total", "counter", server.evals,
+       "Inline-tag evaluations served");
+  emit("dlcirc_serve_lane_reads_total", "counter", server.lane_reads,
+       "Lane eval requests served");
+  emit("dlcirc_serve_lane_makes_total", "counter", server.lane_makes,
+       "Lanes materialized (replacements included)");
+  emit("dlcirc_serve_updates_total", "counter", server.updates,
+       "Incremental lane updates applied");
+  emit("dlcirc_serve_update_fallbacks_total", "counter",
+       server.update_fallbacks, "Updates that ran a full re-evaluation");
+  emit("dlcirc_serve_batches_total", "counter", server.batches,
+       "Coalesced batch sweeps executed");
+  emit("dlcirc_serve_batched_lanes_total", "counter", server.batched_lanes,
+       "Inline evals covered by batch sweeps");
+  emit("dlcirc_serve_max_batch", "gauge", server.max_batch,
+       "Widest single coalesced sweep");
+  emit("dlcirc_serve_explains_total", "counter", server.explains,
+       "Explain requests served");
+  emit("dlcirc_serve_errors_total", "counter", server.errors,
+       "Requests answered with an error");
+  emit("dlcirc_serve_queue_depth", "gauge", queue_depth,
+       "Requests waiting in the serve queue");
+  return out.str();
+}
 
 Server::Server(pipeline::Session& session, PlanStore& plans,
                ServerOptions options)
@@ -18,12 +86,6 @@ Server::Server(pipeline::Session& session, PlanStore& plans,
   paused_ = options_.paused;
   start_ns_ = obs::NowNs();
   obs::Registry& reg = obs::Registry::Default();
-  obs_requests_ = &reg.GetCounter("dlcirc_serve_requests_total", "",
-                                  "Requests accepted into the serve queue");
-  obs_errors_ = &reg.GetCounter("dlcirc_serve_errors_total", "",
-                                "Requests answered with an error");
-  obs_queue_depth_ = &reg.GetGauge("dlcirc_serve_queue_depth", "",
-                                   "Requests waiting in the serve queue");
   obs_queue_wait_ = &reg.GetHistogram(
       "dlcirc_serve_queue_wait_ns", "",
       "Time from submit to dispatcher pop, nanoseconds");
@@ -33,8 +95,6 @@ Server::Server(pipeline::Session& session, PlanStore& plans,
   obs_lane_wait_ = &reg.GetHistogram(
       "dlcirc_serve_lane_wait_ns", "",
       "Lane lock acquisition wait (epoch serialization), nanoseconds");
-  obs_explains_ = &reg.GetCounter("dlcirc_serve_explains_total", "",
-                                  "Explain requests served");
   obs_explain_ns_ = &reg.GetHistogram(
       "dlcirc_serve_explain_ns", "",
       "Explanation extraction latency (proofs/why/formula), nanoseconds");
@@ -79,7 +139,6 @@ void Server::Submit(ServeRequest request, Completion done) {
     return;
   }
   queue_.push_back(std::move(pending));
-  obs_queue_depth_->Add(1);
   lock.unlock();
   queue_pop_cv_.notify_one();
 }
@@ -171,10 +230,7 @@ bool Server::PopBurst(std::vector<Pending>* burst) {
     queue_.pop_front();
     if (burst->back().request.kind == ServeRequest::Kind::kPing) break;
   }
-  const size_t n = burst->size();
-  obs_queue_depth_->Add(-static_cast<int64_t>(n));
-  requests_.fetch_add(n, std::memory_order_relaxed);
-  obs_requests_->Inc(n);
+  requests_.fetch_add(burst->size(), std::memory_order_relaxed);
   lock.unlock();
   for (const Pending& p : *burst) {
     if (p.submit_ns != 0) {

@@ -142,6 +142,19 @@ struct ServerStats {
   uint64_t errors = 0;            ///< requests answered with an error
 };
 
+struct NetStats;  // src/serve/net.h
+
+/// Prometheus text for every count and level the serving stack keeps: each
+/// ServerStats, PlanStoreStats and (when `net` is non-null) NetStats field,
+/// plus the queue depth, as counters and gauges under
+/// `dlcirc_{net,plan_store,serve}_*` names. The owners' always-on stats are
+/// the only store of these counts, so the `metrics` op (this block, then the
+/// obs registry's histograms) agrees with the `stats` op by construction.
+std::string RenderStatsPrometheus(const ServerStats& server,
+                                  size_t queue_depth,
+                                  const PlanStoreStats& plans,
+                                  const NetStats* net);
+
 /// Batch-size distribution of one channel, for the extended `stats` op. The
 /// quantiles come from the channel's obs histogram, so they are only
 /// populated while the default obs registry is enabled (dlcirc serve enables
@@ -278,7 +291,6 @@ class Server {
   }
   void RespondError(Pending* p, std::string error) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    obs_errors_->Inc();
     Respond(p, {false, std::move(error), 0, {}, {}, {}});
   }
 
@@ -411,6 +423,8 @@ class Server {
   std::vector<std::unique_ptr<eval::Evaluator>> evaluators_;
   std::vector<std::thread> dispatchers_;
 
+  /// The only store of the ServerStats counts; stats() reads them and
+  /// RenderStatsPrometheus renders that snapshot for the `metrics` op.
   std::atomic<uint64_t> requests_{0}, evals_{0}, lane_reads_{0},
       lane_makes_{0}, updates_{0}, update_fallbacks_{0}, batches_{0},
       batched_lanes_{0}, max_batch_{0}, explains_{0}, errors_{0};
@@ -419,18 +433,12 @@ class Server {
   /// leaves of proof trees must not touch the Session from dispatchers).
   std::vector<std::string> edb_names_;
 
-  // Obs series (default registry; resolved once in the constructor). The
-  // ServerStats atomics above stay authoritative for the cheap `stats` op;
-  // these add distributions and the Prometheus exposition. The queue-depth
-  // gauge moves only under queue_mu_, so it never reads below zero.
+  // Distributions (default registry; resolved once in the constructor).
+  // They record only while the registry is enabled; counts never go here.
   uint64_t start_ns_ = 0;
-  obs::Counter* obs_requests_ = nullptr;   ///< dlcirc_serve_requests_total
-  obs::Counter* obs_errors_ = nullptr;     ///< dlcirc_serve_errors_total
-  obs::Gauge* obs_queue_depth_ = nullptr;  ///< dlcirc_serve_queue_depth
   obs::Histogram* obs_queue_wait_ = nullptr;  ///< dlcirc_serve_queue_wait_ns
   obs::Histogram* obs_latency_ = nullptr;     ///< dlcirc_serve_request_ns
   obs::Histogram* obs_lane_wait_ = nullptr;   ///< dlcirc_serve_lane_wait_ns
-  obs::Counter* obs_explains_ = nullptr;      ///< dlcirc_serve_explains_total
   obs::Histogram* obs_explain_ns_ = nullptr;  ///< dlcirc_serve_explain_ns
 };
 
@@ -634,7 +642,6 @@ void Server::ServeChannelGroup(const std::string& channel_key,
             return;
           }
           explains_.fetch_add(1, std::memory_order_relaxed);
-          obs_explains_->Inc();
           obs_explain_ns_->RecordSince(t0);
           Respond(p, {true, "", epoch,
                       FactValues<S>(eplan, slots, req.facts),

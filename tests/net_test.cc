@@ -11,6 +11,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -349,6 +350,65 @@ TEST(NetTest, ManyConcurrentPipelinedClientsAllGetTheirOwnAnswers) {
   EXPECT_EQ(stats.lines,
             static_cast<uint64_t>(kClients) * kLinesPerClient);
   EXPECT_EQ(stats.accepted, static_cast<uint64_t>(kClients));
+  EXPECT_EQ(stats.active, 0u);
+}
+
+TEST(NetTest, StopRacesCompletionsFromAnotherThread) {
+  // Responders held past the loop's last read complete from a helper
+  // thread while Stop() runs, round-robin over many connections, so some
+  // land on connections the loop has not closed yet while it closes the
+  // others. Such a completion may wake the loop after Stop() has joined
+  // it; the wake pipe must still be open then (under TSan, a close in
+  // Stop() races that wake on the descriptor).
+  const int kConns = 32;
+  const int kLinesPerConn = 64;
+  std::mutex mu;
+  std::vector<std::vector<SocketServer::Responder>> held(kConns);
+  int num_held = 0;
+  SocketServer server;
+  auto started = server.Start(
+      LoopbackOptions(),
+      [&](std::string&& line, SocketServer::Responder responder) {
+        std::lock_guard<std::mutex> lock(mu);
+        held[std::stoi(line)].push_back(std::move(responder));
+        ++num_held;
+      });
+  ASSERT_TRUE(started.ok()) << started.error();
+
+  std::vector<std::unique_ptr<Client>> clients;
+  for (int c = 0; c < kConns; ++c) {
+    clients.push_back(std::make_unique<Client>(server.port()));
+    ASSERT_TRUE(clients.back()->ok());
+    std::string burst;
+    for (int i = 0; i < kLinesPerConn; ++i) burst += std::to_string(c) + "\n";
+    ASSERT_TRUE(clients.back()->SendAll(burst));
+  }
+  for (int spins = 0; spins < 5000; ++spins) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (num_held == kConns * kLinesPerConn) break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    ASSERT_EQ(num_held, kConns * kLinesPerConn);
+  }
+
+  std::atomic<bool> go{false};
+  std::thread sender([&] {
+    while (!go.load()) {
+    }
+    for (int i = 0; i < kLinesPerConn; ++i) {
+      for (int c = 0; c < kConns; ++c) held[c][i].Send("late");
+    }
+  });
+  go.store(true);
+  server.Stop();
+  sender.join();
+  serve::NetStats stats = server.stats();
+  EXPECT_EQ(stats.lines, static_cast<uint64_t>(kConns) * kLinesPerConn);
+  EXPECT_EQ(stats.closed, static_cast<uint64_t>(kConns));
   EXPECT_EQ(stats.active, 0u);
 }
 

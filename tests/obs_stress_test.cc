@@ -1,11 +1,11 @@
 // Concurrency stress for src/obs, built to run under TSan (the CI job's
-// sanitizer matrix includes it): writer threads hammer counters, gauges,
-// histograms, and trace spans while reader threads concurrently render
-// Prometheus text, snapshot histograms, and flip the enable flag. The
-// assertions are deliberately coarse — no increment may be lost once the
-// flag is stably on, and renders/snapshots must never crash or tear a
-// single update — because the interesting property here is "TSan stays
-// silent", not exact interleavings.
+// sanitizer matrix includes it): writer threads hammer histograms and trace
+// spans while reader threads concurrently render Prometheus text, snapshot
+// histograms, and flip the enable flag. The assertions are deliberately
+// coarse — no sample may be lost once the flag is stably on, and
+// renders/snapshots must never crash or tear a single update — because the
+// interesting property here is "TSan stays silent", not exact
+// interleavings.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,18 +37,15 @@ TEST(ObsStress, WritersAndReadersRaceCleanly) {
     writers.emplace_back([&reg, &rec, t] {
       // Resolve shared and per-thread series through the registry from
       // every thread concurrently: registration itself is part of the race.
-      Counter& total = reg.GetCounter("stress_total", "", "");
-      Gauge& depth = reg.GetGauge("stress_depth", "", "");
+      Histogram& total = reg.GetHistogram("stress_ones", "", "");
       Histogram& lat = reg.GetHistogram("stress_ns", "", "");
       Histogram& mine = reg.GetHistogram(
           "stress_ns", "thread=\"" + std::to_string(t) + "\"", "");
       for (uint64_t i = 0; i < kOpsPerWriter; ++i) {
-        total.Inc();
-        depth.Add(1);
+        total.Record(1);
         uint64_t start = lat.StartTimeNs();
         mine.Record(i * 37 + static_cast<uint64_t>(t));
         lat.RecordSince(start);
-        depth.Add(-1);
         if ((i & 1023) == 0) {
           TraceSpan span(rec, "stress", "tick");
           span.set_args_json("\"thread\":" + std::to_string(t));
@@ -91,16 +88,11 @@ TEST(ObsStress, WritersAndReadersRaceCleanly) {
   for (std::thread& r : readers) r.join();
 
   // Bounds, not equalities: the toggler may have eaten some updates.
-  Counter& total = reg.GetCounter("stress_total", "", "");
-  EXPECT_GT(total.Value(), 0u);
-  EXPECT_LE(total.Value(), kWriters * kOpsPerWriter);
-  Gauge& depth = reg.GetGauge("stress_depth", "", "");
-  // Every Add(+1) has a matching Add(-1); flag flips can only drop one side
-  // of a pair, so the residue is bounded by the writer count per flip — in
-  // practice tiny, but only >= 0 is guaranteed-free of corruption. What we
-  // can assert: the value is small relative to the op count.
-  EXPECT_LT(std::abs(depth.Value()),
-            static_cast<int64_t>(kWriters * kOpsPerWriter));
+  const LocalHistogram total =
+      reg.GetHistogram("stress_ones", "", "").Snapshot();
+  EXPECT_GT(total.count(), 0u);
+  EXPECT_LE(total.count(), kWriters * kOpsPerWriter);
+  EXPECT_EQ(total.sum(), total.count());  // every sample was a 1
   EXPECT_GT(rec.size(), 0u);
 }
 
@@ -108,20 +100,20 @@ TEST(ObsStress, ConcurrentRegistrationReturnsStableReferences) {
   Registry reg;
   reg.set_enabled(true);
   const int kThreads = 8;
-  std::vector<Counter*> seen(kThreads, nullptr);
+  std::vector<Histogram*> seen(kThreads, nullptr);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&reg, &seen, t] {
       for (int i = 0; i < 1000; ++i) {
-        Counter& c = reg.GetCounter("same_total", "", "");
-        c.Inc();
-        seen[t] = &c;
+        Histogram& h = reg.GetHistogram("same_ns", "", "");
+        h.Record(static_cast<uint64_t>(i));
+        seen[t] = &h;
       }
     });
   }
   for (std::thread& t : threads) t.join();
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
-  EXPECT_EQ(seen[0]->Value(), static_cast<uint64_t>(kThreads) * 1000);
+  EXPECT_EQ(seen[0]->count(), static_cast<uint64_t>(kThreads) * 1000);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for src/obs: the bucket layout's indexing/bounds invariants, the
 // quantile error bound on randomized distributions (including the small-N
 // cases where naive `p * (n - 1)` sample math disagrees with nearest rank),
-// sharded counters under threads, the disabled-path no-op contract, the
+// histogram records under threads, the disabled-path no-op contract, the
 // Prometheus exposition text, and Chrome trace JSON well-formedness (parsed
 // back with the serve wire parser). The multi-thread torture test lives in
 // obs_stress_test.cc.
@@ -170,44 +170,31 @@ TEST(LocalHistogram, MergeMatchesRecordingIntoOne) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry, counters, gauges, enable flag
+// Registry, histograms, enable flag
 
-TEST(Registry, ShardedCounterSumsAcrossThreads) {
+TEST(Registry, ConcurrentRecordsAreNeverLost) {
   Registry reg;
   reg.set_enabled(true);
-  Counter& c = reg.GetCounter("test_total", "", "help");
+  Histogram& h = reg.GetHistogram("test_ns", "", "help");
   const int kThreads = 8;
   const uint64_t kPerThread = 20000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&c] {
-      for (uint64_t i = 0; i < kPerThread; ++i) c.Inc();
+    threads.emplace_back([&h] {
+      for (uint64_t i = 0; i < kPerThread; ++i) h.Record(i);
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(c.Value(), kThreads * kPerThread);
-}
-
-TEST(Registry, GaugeGoesUpAndDown) {
-  Registry reg;
-  reg.set_enabled(true);
-  Gauge& g = reg.GetGauge("depth", "", "");
-  g.Add(5);
-  g.Add(3);
-  g.Add(-6);
-  EXPECT_EQ(g.Value(), 2);
+  LocalHistogram snap = h.Snapshot();
+  EXPECT_EQ(snap.count(), kThreads * kPerThread);
+  EXPECT_EQ(snap.sum(), kThreads * (kPerThread * (kPerThread - 1) / 2));
+  EXPECT_EQ(snap.max(), kPerThread - 1);
 }
 
 TEST(Registry, DisabledMetricsRecordNothing) {
   Registry reg;  // starts disabled
-  Counter& c = reg.GetCounter("c_total");
-  Gauge& g = reg.GetGauge("g");
   Histogram& h = reg.GetHistogram("h_ns");
-  c.Inc(100);
-  g.Add(7);
   h.Record(42);
-  EXPECT_EQ(c.Value(), 0u);
-  EXPECT_EQ(g.Value(), 0);
   EXPECT_EQ(h.count(), 0u);
   // The timer pair must not read the clock while disabled: StartTimeNs
   // yields the 0 sentinel and RecordSince(0) is a no-op.
@@ -215,20 +202,18 @@ TEST(Registry, DisabledMetricsRecordNothing) {
   h.RecordSince(0);
   EXPECT_EQ(h.count(), 0u);
 
-  // Flipping the flag activates the same metric objects retroactively.
+  // Flipping the flag activates the same histogram objects retroactively.
   reg.set_enabled(true);
-  c.Inc();
   h.Record(42);
-  EXPECT_EQ(c.Value(), 1u);
   EXPECT_EQ(h.count(), 1u);
   EXPECT_GT(h.StartTimeNs(), 0u);
 }
 
 TEST(Registry, SameNameAndLabelsReturnsSameMetric) {
   Registry reg;
-  Counter& a = reg.GetCounter("dup_total", "k=\"1\"");
-  Counter& b = reg.GetCounter("dup_total", "k=\"1\"");
-  Counter& other = reg.GetCounter("dup_total", "k=\"2\"");
+  Histogram& a = reg.GetHistogram("dup_ns", "k=\"1\"");
+  Histogram& b = reg.GetHistogram("dup_ns", "k=\"1\"");
+  Histogram& other = reg.GetHistogram("dup_ns", "k=\"2\"");
   EXPECT_EQ(&a, &b);
   EXPECT_NE(&a, &other);
 }
@@ -236,31 +221,30 @@ TEST(Registry, SameNameAndLabelsReturnsSameMetric) {
 TEST(Registry, ResetValuesForTestZeroesEverything) {
   Registry reg;
   reg.set_enabled(true);
-  Counter& c = reg.GetCounter("r_total");
   Histogram& h = reg.GetHistogram("r_ns");
-  c.Inc(3);
+  Histogram& labeled = reg.GetHistogram("r_ns", "k=\"1\"");
   h.Record(1000);
+  labeled.Record(7);
   reg.ResetValuesForTest();
-  EXPECT_EQ(c.Value(), 0u);
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.Snapshot().sum(), 0u);
+  for (Histogram* x : {&h, &labeled}) {
+    LocalHistogram snap = x->Snapshot();
+    EXPECT_EQ(x->count(), 0u);
+    EXPECT_EQ(snap.count(), 0u);
+    EXPECT_EQ(snap.sum(), 0u);
+    EXPECT_EQ(snap.max(), 0u);
+  }
 }
 
-TEST(Registry, RenderPrometheusExposesAllKinds) {
+TEST(Registry, RenderPrometheusExposesHistogramsAsSummaries) {
   Registry reg;
   reg.set_enabled(true);
-  reg.GetCounter("req_total", "", "Requests served").Inc(7);
-  reg.GetGauge("queue_depth", "", "Inflight").Add(3);
+  reg.GetHistogram("empty_ns", "", "Never recorded");
   Histogram& h = reg.GetHistogram("latency_ns", "channel=\"tc\"", "Latency");
   for (int i = 0; i < 100; ++i) h.Record(1000 + i);
 
   std::string text = reg.RenderPrometheus();
-  EXPECT_NE(text.find("# HELP req_total Requests served"), std::string::npos)
+  EXPECT_NE(text.find("# HELP latency_ns Latency"), std::string::npos)
       << text;
-  EXPECT_NE(text.find("# TYPE req_total counter"), std::string::npos);
-  EXPECT_NE(text.find("req_total 7"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE queue_depth gauge"), std::string::npos);
-  EXPECT_NE(text.find("queue_depth 3"), std::string::npos);
   EXPECT_NE(text.find("# TYPE latency_ns summary"), std::string::npos);
   EXPECT_NE(text.find("latency_ns{channel=\"tc\",quantile=\"0.5\"}"),
             std::string::npos)
@@ -269,6 +253,10 @@ TEST(Registry, RenderPrometheusExposesAllKinds) {
             std::string::npos);
   EXPECT_NE(text.find("latency_ns_count{channel=\"tc\"} 100"),
             std::string::npos);
+  // An empty histogram still renders, and series sort by name.
+  EXPECT_NE(text.find("# TYPE empty_ns summary"), std::string::npos);
+  EXPECT_NE(text.find("empty_ns_count 0"), std::string::npos);
+  EXPECT_LT(text.find("empty_ns"), text.find("latency_ns"));
   // Exposition must end with a newline (Prometheus text format requirement).
   ASSERT_FALSE(text.empty());
   EXPECT_EQ(text.back(), '\n');

@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -32,6 +33,7 @@
 #include "src/obs/metrics.h"
 #include "src/pipeline/semiring_registry.h"
 #include "src/pipeline/session.h"
+#include "src/serve/net.h"
 #include "src/serve/plan_store.h"
 #include "src/serve/server.h"
 #include "src/serve/snapshot.h"
@@ -1131,19 +1133,116 @@ TEST(ServerTest, CompletionsRunOnceOnTheDispatcher) {
   EXPECT_EQ(stopped.response.error, "server stopped");
 }
 
+/// Renders one snapshot of `server`'s and `store`'s stats (plus a NetStats
+/// whose fields all differ) and checks that the exposition holds exactly one
+/// series per field, each equal to the field it names.
+void ExpectMetricsMatchStats(const serve::Server& server,
+                             const serve::PlanStore& store) {
+  const serve::ServerStats s = server.stats();
+  const serve::PlanStoreStats p = store.stats();
+  const size_t depth = server.queue_depth();
+  serve::NetStats n;
+  n.accepted = 11;
+  n.rejected = 12;
+  n.closed = 13;
+  n.lines = 14;
+  n.oversized = 15;
+  n.overflowed = 16;
+  n.active = 17;
+  const std::map<std::string, uint64_t> want = {
+      {"dlcirc_net_accepted_total", n.accepted},
+      {"dlcirc_net_rejected_total", n.rejected},
+      {"dlcirc_net_closed_total", n.closed},
+      {"dlcirc_net_lines_total", n.lines},
+      {"dlcirc_net_oversized_total", n.oversized},
+      {"dlcirc_net_overflowed_total", n.overflowed},
+      {"dlcirc_net_connections", n.active},
+      {"dlcirc_plan_store_hits_total", p.hits},
+      {"dlcirc_plan_store_compiles_total", p.compiles},
+      {"dlcirc_plan_store_snapshot_loads_total", p.snapshot_loads},
+      {"dlcirc_plan_store_snapshot_saves_total", p.snapshot_saves},
+      {"dlcirc_plan_store_evictions_total", p.evictions},
+      {"dlcirc_plan_store_resident", p.resident},
+      {"dlcirc_serve_requests_total", s.requests},
+      {"dlcirc_serve_evals_total", s.evals},
+      {"dlcirc_serve_lane_reads_total", s.lane_reads},
+      {"dlcirc_serve_lane_makes_total", s.lane_makes},
+      {"dlcirc_serve_updates_total", s.updates},
+      {"dlcirc_serve_update_fallbacks_total", s.update_fallbacks},
+      {"dlcirc_serve_batches_total", s.batches},
+      {"dlcirc_serve_batched_lanes_total", s.batched_lanes},
+      {"dlcirc_serve_max_batch", s.max_batch},
+      {"dlcirc_serve_explains_total", s.explains},
+      {"dlcirc_serve_errors_total", s.errors},
+      {"dlcirc_serve_queue_depth", depth},
+  };
+  std::map<std::string, uint64_t> got;
+  std::istringstream text(serve::RenderStatsPrometheus(s, depth, p, &n));
+  for (std::string line; std::getline(text, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    const size_t space = line.find(' ');
+    ASSERT_NE(space, std::string::npos) << line;
+    EXPECT_TRUE(got.emplace(line.substr(0, space),
+                            std::stoull(line.substr(space + 1)))
+                    .second)
+        << "duplicate series: " << line;
+  }
+  EXPECT_EQ(got, want);
+}
+
 TEST(ServerTest, ObsInstrumentationRecordsServingMetrics) {
-  // The server's metrics all hang off the process-wide obs registry, so this
-  // test enables it, serves, asserts, and restores the disabled default
-  // (other tests in this binary must keep seeing zero-cost no-op metrics).
+  // Counts live only in the always-on ServerStats/PlanStoreStats, so the
+  // metrics counts equal the stats fields with the obs registry disabled
+  // and still after it is enabled mid-run; the registry's histograms see
+  // only what ran while it was enabled. The test restores the disabled
+  // default (other tests in this binary must keep seeing no-op metrics).
   obs::Registry& reg = obs::Registry::Default();
   reg.ResetValuesForTest();
-  reg.set_enabled(true);
+  ASSERT_FALSE(reg.enabled());
 
   Session session = MakeFig1Session();
   serve::PlanStore store;
   serve::Server server(session, store);
   std::vector<uint32_t> facts = {session.FindFact("T", {"s", "t"}).value()};
 
+  // A mixed burst while disabled: two inline evals, a lane make, read and
+  // update, one explain, and one unknown-lane error (last).
+  using Kind = serve::ServeRequest::Kind;
+  auto request = [&](Kind kind, const std::string& lane) {
+    serve::ServeRequest r =
+        EvalRequest("tropical", {"1", "2", "3", "4", "5", "6", "7"}, facts);
+    r.kind = kind;
+    r.lane = lane;
+    return r;
+  };
+  serve::ServeRequest update = request(Kind::kUpdate, "alice");
+  update.delta = {{0, "inf"}};
+  std::vector<serve::ServeRequest> mixed = {
+      request(Kind::kEval, ""),         request(Kind::kEval, ""),
+      request(Kind::kMakeLane, "alice"), request(Kind::kEval, "alice"),
+      update,                           request(Kind::kExplain, "alice"),
+      request(Kind::kEval, "nobody"),
+  };
+  std::vector<std::future<serve::ServeResponse>> answers;
+  for (serve::ServeRequest& r : mixed) {
+    answers.push_back(server.Submit(std::move(r)));
+  }
+  for (size_t i = 0; i < answers.size(); ++i) {
+    EXPECT_EQ(answers[i].get().ok, i + 1 < answers.size()) << "request " << i;
+  }
+  const serve::ServerStats disabled = server.stats();
+  EXPECT_EQ(disabled.requests, 7u);
+  EXPECT_EQ(disabled.evals, 2u);
+  EXPECT_EQ(disabled.lane_makes, 1u);
+  EXPECT_EQ(disabled.lane_reads, 1u);
+  EXPECT_EQ(disabled.updates, 1u);
+  EXPECT_EQ(disabled.explains, 1u);
+  EXPECT_EQ(disabled.errors, 1u);
+  EXPECT_EQ(store.stats().compiles, 1u);
+  ExpectMetricsMatchStats(server, store);
+  EXPECT_EQ(reg.GetHistogram("dlcirc_serve_request_ns").count(), 0u);
+
+  reg.set_enabled(true);
   const int kRequests = 12;
   std::vector<std::future<serve::ServeResponse>> futures;
   for (int i = 0; i < kRequests; ++i) {
@@ -1151,13 +1250,11 @@ TEST(ServerTest, ObsInstrumentationRecordsServingMetrics) {
     futures.push_back(server.Submit(EvalRequest("tropical", tags, facts)));
   }
   for (auto& f : futures) ASSERT_TRUE(f.get().ok);
+  EXPECT_EQ(server.stats().requests, disabled.requests + kRequests);
+  ExpectMetricsMatchStats(server, store);
 
   EXPECT_GT(server.uptime_seconds(), 0.0);
-  EXPECT_EQ(reg.GetCounter("dlcirc_serve_requests_total").Value(),
-            static_cast<uint64_t>(kRequests));
-  // Every submit was answered, so the queue-depth gauge is back to zero.
-  EXPECT_EQ(reg.GetGauge("dlcirc_serve_queue_depth").Value(), 0);
-  // One latency sample per request, quantiles sane.
+  // One latency sample per request served while enabled, quantiles sane.
   obs::LocalHistogram lat =
       reg.GetHistogram("dlcirc_serve_request_ns").Snapshot();
   EXPECT_EQ(lat.count(), static_cast<uint64_t>(kRequests));
@@ -1172,14 +1269,50 @@ TEST(ServerTest, ObsInstrumentationRecordsServingMetrics) {
   EXPECT_GE(channels[0].p50, 1u);
   EXPECT_GE(channels[0].max, channels[0].p50);
 
-  // The same numbers flow into the Prometheus exposition.
+  // The same distributions flow into the registry's exposition.
   std::string text = reg.RenderPrometheus();
-  EXPECT_NE(text.find("dlcirc_serve_requests_total 12"), std::string::npos)
+  EXPECT_NE(text.find("dlcirc_serve_request_ns_count 12"), std::string::npos)
       << text;
   EXPECT_NE(text.find("dlcirc_serve_batch_size{channel="), std::string::npos)
       << text;
-  EXPECT_NE(text.find("dlcirc_plan_store_misses_total 1"), std::string::npos)
+
+  reg.set_enabled(false);
+  reg.ResetValuesForTest();
+}
+
+TEST(ServerTest, QueueDepthDrainsToZeroWhenMetricsTurnOnMidQueue) {
+  // Three evals queue on a paused server while the registry is disabled and
+  // are served after it is enabled. The depth is read off the queue itself
+  // and requests are counted once, so the exposition shows depth 0 and 3
+  // requests (a level kept as flag-gated +1/-n deltas would read -3 here).
+  obs::Registry& reg = obs::Registry::Default();
+  reg.ResetValuesForTest();
+  ASSERT_FALSE(reg.enabled());
+  Session session = MakeFig1Session();
+  serve::PlanStore store;
+  serve::ServerOptions options;
+  options.paused = true;
+  serve::Server server(session, store, options);
+  std::vector<uint32_t> facts = {session.FindFact("T", {"s", "t"}).value()};
+
+  std::vector<std::future<serve::ServeResponse>> futures;
+  for (int i = 0; i < 3; ++i) {
+    futures.push_back(server.Submit(
+        EvalRequest("tropical", {"1", "2", "3", "4", "5", "6", "7"}, facts)));
+  }
+  reg.set_enabled(true);
+  server.Resume();
+  for (auto& f : futures) EXPECT_TRUE(f.get().ok);
+
+  const std::string text =
+      serve::RenderStatsPrometheus(server.stats(), server.queue_depth(),
+                                   store.stats(), nullptr) +
+      reg.RenderPrometheus();
+  EXPECT_NE(text.find("\ndlcirc_serve_queue_depth 0\n"), std::string::npos)
       << text;
+  EXPECT_NE(text.find("\ndlcirc_serve_requests_total 3\n"), std::string::npos)
+      << text;
+  ExpectMetricsMatchStats(server, store);
 
   reg.set_enabled(false);
   reg.ResetValuesForTest();

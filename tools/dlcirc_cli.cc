@@ -227,8 +227,8 @@ serve protocol (one JSON object per line; `id` is echoed back):
   ("construction": "auto" asks the cost-based planner for the request's
    semiring; without "construction", a request under another semiring
    resolves the --construction default again for that semiring; "metrics"
-   returns the Prometheus text exposition of the obs registry as one JSON
-   string)
+   returns Prometheus text as one JSON string: the counts "stats" reports,
+   as counters and gauges, then the obs registry's histograms)
 )usage";
   return code;
 }
@@ -959,15 +959,24 @@ std::string RenderStats(const std::string& id_json, const serve::Server& server,
   return out.str();
 }
 
-/// The whole obs registry as Prometheus text, embedded as one JSON string
-/// (serve::JsonEscape turns the newlines into \n escapes, so the response
-/// stays a single NDJSON line).
-std::string RenderMetrics(const std::string& id_json) {
+/// Prometheus text embedded as one JSON string (serve::JsonEscape turns the
+/// newlines into \n escapes, so the response stays a single NDJSON line):
+/// the counts and levels of the structs `stats` renders (plus the socket
+/// layer's under --listen), then the obs registry's histograms.
+std::string RenderMetrics(const std::string& id_json,
+                          const serve::Server& server,
+                          const serve::PlanStore& store,
+                          const serve::SocketServer* sock) {
+  serve::NetStats net;
+  if (sock != nullptr) net = sock->stats();
+  const std::string text =
+      serve::RenderStatsPrometheus(server.stats(), server.queue_depth(),
+                                   store.stats(),
+                                   sock != nullptr ? &net : nullptr) +
+      obs::Registry::Default().RenderPrometheus();
   std::string out = "{";
   if (!id_json.empty()) out += "\"id\": " + id_json + ", ";
-  out += "\"ok\": true, \"metrics\": \"" +
-         serve::JsonEscape(obs::Registry::Default().RenderPrometheus()) +
-         "\"}";
+  out += "\"ok\": true, \"metrics\": \"" + serve::JsonEscape(text) + "\"}";
   return out;
 }
 
@@ -1018,6 +1027,9 @@ struct ServeContext {
       pipeline::Construction::kGrounded;
   std::vector<uint32_t> default_facts;
   std::shared_ptr<const std::vector<std::string>> default_fact_names;
+  /// The --listen front door, whose NetStats join the `metrics` op; null
+  /// on stdin.
+  const serve::SocketServer* sock = nullptr;
 };
 
 /// One translated request line. `request` goes to the broker unless
@@ -1276,12 +1288,14 @@ void Answer(const ServeContext& ctx, serve::Server& server,
   }
   server.Submit(
       std::move(t.request),
-      [&server, &store, explain = ctx.args->explain, item = std::move(t.item),
+      [&server, &store, sock = ctx.sock, explain = ctx.args->explain,
+       item = std::move(t.item),
        send = std::move(send)](serve::ServeResponse response) {
-        send(!response.ok       ? RenderResponse(item, response, explain)
-             : item.is_stats   ? RenderStats(item.id_json, server, store)
-             : item.is_metrics ? RenderMetrics(item.id_json)
-                               : RenderResponse(item, response, explain));
+        send(!response.ok     ? RenderResponse(item, response, explain)
+             : item.is_stats ? RenderStats(item.id_json, server, store)
+             : item.is_metrics
+                 ? RenderMetrics(item.id_json, server, store, sock)
+                 : RenderResponse(item, response, explain));
       });
 }
 
@@ -1296,8 +1310,8 @@ void OnServeSignal(int) { g_serve_stop = 1; }
 /// Submit: once the broker queue is at capacity, the request gets a
 /// structured "busy" error instead of blocking the event loop on the
 /// bounded MPMC queue.
-int ServeListen(const Args& args, const ServeContext& ctx,
-                serve::Server& server, serve::PlanStore& store) {
+int ServeListen(const Args& args, ServeContext ctx, serve::Server& server,
+                serve::PlanStore& store) {
   serve::NetOptions net;
   {
     const size_t colon = args.listen.rfind(':');
@@ -1324,6 +1338,8 @@ int ServeListen(const Args& args, const ServeContext& ctx,
   }
   net.max_connections = static_cast<uint32_t>(args.max_connections);
 
+  serve::SocketServer sock;
+  ctx.sock = &sock;
   const size_t admission_depth = static_cast<size_t>(args.queue_capacity);
   uint64_t line_number = 0;  // event-loop thread only
   auto handler = [&](std::string&& line,
@@ -1347,7 +1363,6 @@ int ServeListen(const Args& args, const ServeContext& ctx,
            });
   };
 
-  serve::SocketServer sock;
   Result<bool> started = sock.Start(net, handler);
   if (!started.ok()) return Fail(started.error());
   // Always announced (even under --quiet): with port 0 this line is the
