@@ -9,15 +9,20 @@
 //   * every applicable route returns the same values (parity is a gate,
 //     even in --small mode).
 //
-// Usage: bench_planner_routes [--small]
-//   --small    CI smoke mode: tiny instances, few lanes, relaxed verdicts
+// Usage: bench_planner_routes [--small] [--json FILE]
+//   --small      CI smoke mode: tiny instances, few lanes, relaxed verdicts
+//   --json FILE  machine-readable results (BENCH_serve.json convention): one
+//                row per workload x route with picked, size, depth,
+//                compile_ms and eval_ms
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/harness.h"
@@ -207,8 +212,12 @@ std::vector<RouteRun> RunWorkload(const char* program, const std::string& facts,
 
 int main(int argc, char** argv) {
   bool small = false;
+  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--small") == 0) small = true;
+    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+      json_path = argv[++i];
+    }
   }
   bench::Banner("E17", "planner route quality (Sections 3-6 end to end)",
                 "planner pick vs every forced construction: size, depth, "
@@ -293,5 +302,28 @@ int main(int argc, char** argv) {
                  std::to_string(grounded_reality_wins) +
                      " workload(s) where grounded's early structural "
                      "fixpoint beat the pick (static worst-case pricing)");
+
+  if (!json_path.empty()) {
+    std::ofstream out(json_path);
+    out << "{\n  \"experiment\": \"E17\",\n  \"small\": "
+        << (small ? "true" : "false") << ",\n  \"hardware_concurrency\": "
+        << std::thread::hardware_concurrency() << ",\n  \"lanes\": " << lanes
+        << ",\n  \"reps\": " << reps << ",\n  \"routes\": [";
+    const char* sep = "\n";
+    for (const Workload& w : workloads) {
+      for (const RouteRun& r : w.runs) {
+        out << sep << "    {\"workload\": \"" << w.name << "\", \"semiring\": \""
+            << w.semiring << "\", \"route\": \""
+            << pipeline::ConstructionName(r.construction)
+            << "\", \"picked\": " << (r.picked ? "true" : "false")
+            << ", \"size\": " << r.size << ", \"depth\": " << r.depth
+            << ", \"compile_ms\": " << r.compile_ms
+            << ", \"eval_ms\": " << r.eval_ms << "}";
+        sep = ",\n";
+      }
+    }
+    out << "\n  ]\n}\n";
+    std::cout << "wrote " << json_path << "\n";
+  }
   return pick_beats_grounded_somewhere ? 0 : 1;
 }

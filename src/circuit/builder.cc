@@ -6,14 +6,19 @@ namespace dlcirc {
 
 namespace {
 constexpr GateId kNoGate = 0xffffffffu;
+constexpr size_t kMinTableSize = 64;
 
-uint64_t DedupKey(GateKind kind, uint32_t a, uint32_t b) {
-  // kind in low bits; children packed above. Children are < 2^30 in practice;
-  // use full 64-bit mix to be safe.
-  uint64_t k = static_cast<uint64_t>(kind);
-  uint64_t h = k;
-  h = h * 0x9e3779b97f4a7c15ULL + a;
-  h = h * 0x9e3779b97f4a7c15ULL + b;
+/// Hash of a (kind, a, b) triple: the packed children, offset by the kind,
+/// through murmur3's fmix64 finalizer so every input bit reaches the low
+/// bits the table masks.
+uint64_t GateHash(GateKind kind, uint32_t a, uint32_t b) {
+  uint64_t h = (static_cast<uint64_t>(a) << 32 | b) +
+               static_cast<uint64_t>(kind) * 0x9e3779b97f4a7c15ULL;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
   return h;
 }
 }  // namespace
@@ -42,25 +47,34 @@ GateId CircuitBuilder::Input(uint32_t var) {
 }
 
 GateId CircuitBuilder::Emit(GateKind kind, uint32_t a, uint32_t b) {
+  const GateId id = static_cast<GateId>(gates_.size());
   if (options_.dedup) {
-    // Dedup map stores the exact triple; collisions are resolved by the map
-    // key being the triple hash plus an equality check on the stored gate.
-    uint64_t key = DedupKey(kind, a, b);
-    auto it = dedup_map_.find(key);
-    if (it != dedup_map_.end()) {
-      const Gate& g = gates_[it->second];
-      if (g.kind == kind && g.a == a && g.b == b) return it->second;
-      // Hash collision with different structure: fall through and emit;
-      // dedup becomes best-effort (extremely rare with 64-bit keys).
+    if (2 * (table_entries_ + 1) > table_.size()) GrowTable();
+    const size_t mask = table_.size() - 1;
+    size_t i = GateHash(kind, a, b) & mask;
+    for (; table_[i] != kNoGate; i = (i + 1) & mask) {
+      const Gate& g = gates_[table_[i]];
+      if (g.kind == kind && g.a == a && g.b == b) return table_[i];
     }
-    GateId id = static_cast<GateId>(gates_.size());
-    gates_.push_back(Gate{kind, a, b});
-    dedup_map_[key] = id;
-    return id;
+    table_[i] = id;
+    ++table_entries_;
   }
-  GateId id = static_cast<GateId>(gates_.size());
   gates_.push_back(Gate{kind, a, b});
   return id;
+}
+
+void CircuitBuilder::GrowTable() {
+  // Every (+)/(x) gate is in the table (dedup is fixed per builder), so the
+  // arena, walked in order, is the list to re-insert.
+  table_.assign(std::max(kMinTableSize, 2 * table_.size()), kNoGate);
+  const size_t mask = table_.size() - 1;
+  for (GateId id = 0; id < gates_.size(); ++id) {
+    const Gate& g = gates_[id];
+    if (g.kind != GateKind::kPlus && g.kind != GateKind::kTimes) continue;
+    size_t i = GateHash(g.kind, g.a, g.b) & mask;
+    while (table_[i] != kNoGate) i = (i + 1) & mask;
+    table_[i] = id;
+  }
 }
 
 GateId CircuitBuilder::Plus(GateId x, GateId y) {

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/circuit/circuit.h"
@@ -26,7 +25,7 @@ class CircuitBuilder {
   struct Options {
     bool plus_idempotent = false;  ///< enable x + x = x
     bool absorptive = false;       ///< enable 1 + x = 1 (implies plus_idempotent)
-    bool dedup = true;             ///< hash-cons structurally equal gates
+    bool dedup = true;             ///< hash-cons structurally equal gates (exact)
   };
 
   /// Builder for circuits over arbitrary semirings (no idempotent rewrites).
@@ -62,11 +61,22 @@ class CircuitBuilder {
   static constexpr GateId kOneId = 1;
 
   GateId Emit(GateKind kind, uint32_t a, uint32_t b);
+  /// Doubles table_ and re-inserts every (+)/(x) gate.
+  void GrowTable();
 
   uint32_t num_vars_;
   Options options_;
   std::vector<Gate> gates_;
-  std::unordered_map<uint64_t, GateId> dedup_map_;
+  // Hash-cons table (used when options_.dedup): open addressing with linear
+  // probing over gate ids, kNoGate marking an empty cell. Its size is a
+  // power of two and it is kept at most half full. A probe compares the
+  // stored gate's (kind, a, b), so dedup is exact: two gates share an id iff
+  // their triples are equal. The triple's hash goes through a 64-bit
+  // finalizer before the table masks its low bits: the masked packed
+  // triple would be child b's low bits alone, so every gate sharing a b
+  // would land in one probe run.
+  std::vector<GateId> table_;
+  size_t table_entries_ = 0;
   std::vector<GateId> input_gate_;  // var -> gate id (or kNoGate)
 };
 

@@ -9,10 +9,10 @@ namespace {
 
 // Rebuilds the output cone of `circuit` through a fresh CircuitBuilder
 // configured with `opts`. The builder's Plus/Times re-apply the local
-// rewrites its options permit, and its dedup map (when enabled) acts as a
-// global CSE over the whole cone. Gates outside the cone are never emitted,
-// so every builder-based pass also compacts. Each cone gate maps to at most
-// one new gate, hence the cone can only shrink.
+// rewrites its options permit, and its dedup table (when enabled) acts as a
+// global CSE over the whole cone. Gates outside the cone are never visited,
+// though a visited gate a later rewrite discards stays in the arena. Each
+// cone gate maps to at most one new gate, hence the cone can only shrink.
 Circuit RebuildCone(const Circuit& circuit, CircuitBuilder::Options opts) {
   const std::vector<Gate>& gates = circuit.gates();
   const std::vector<bool>& cone = circuit.OutputCone();
@@ -43,6 +43,16 @@ Circuit RebuildCone(const Circuit& circuit, CircuitBuilder::Options opts) {
   outputs.reserve(circuit.outputs().size());
   for (GateId o : circuit.outputs()) outputs.push_back(map[o]);
   return b.Build(std::move(outputs));
+}
+
+// Builder options applying dedup and every rewrite `options` permit (the
+// idempotent rewrites need the dedup view to fire).
+CircuitBuilder::Options CanonicalOptions(const PassOptions& options) {
+  CircuitBuilder::Options opts;
+  opts.plus_idempotent = options.plus_idempotent;
+  opts.absorptive = options.absorptive;
+  opts.dedup = true;
+  return opts;
 }
 
 }  // namespace
@@ -86,43 +96,25 @@ Circuit AbsorbPrune(const Circuit& circuit, const PassOptions& options) {
   if (!options.absorptive && !options.plus_idempotent) {
     return CompactCone(circuit, options);  // nothing sound to apply
   }
-  CircuitBuilder::Options opts;
-  opts.plus_idempotent = options.plus_idempotent;
-  opts.absorptive = options.absorptive;
-  opts.dedup = true;  // idempotent rewrites need the dedup view to fire
-  return RebuildCone(circuit, opts);
+  return RebuildCone(circuit, CanonicalOptions(options));
 }
 
 PipelineResult OptimizeForEval(const Circuit& circuit,
                                const PassOptions& options,
                                const PassObserver& observer) {
-  using Pass = Circuit (*)(const Circuit&, const PassOptions&);
-  struct Step {
-    const char* name;
-    Pass pass;
-    bool enabled;
-  };
-  const Step steps[] = {
-      {"compact-cone", &CompactCone, true},
-      {"fold-constants", &FoldConstants, true},
-      {"global-cse", &GlobalCse, true},
-      {"absorb-prune", &AbsorbPrune,
-       options.absorptive || options.plus_idempotent},
-  };
   PipelineResult result;
-  result.circuit = circuit;
-  for (const Step& step : steps) {
-    if (!step.enabled) continue;
-    PassStats stats;
-    stats.name = step.name;
-    stats.gates_before = result.circuit.Size();
-    stats.arena_before = result.circuit.gates().size();
-    result.circuit = step.pass(result.circuit, options);
-    stats.gates_after = result.circuit.Size();
-    stats.arena_after = result.circuit.gates().size();
-    result.stats.push_back(std::move(stats));
-    if (observer) observer(step.name, result.circuit);
-  }
+  auto record = [&](const char* name, const Circuit& before,
+                    const Circuit& after) {
+    result.stats.push_back({name, before.Size(), after.Size(),
+                            before.gates().size(), after.gates().size()});
+    if (observer) observer(name, after);
+  };
+  // One rebuild under every rule stands in for fold, CSE and absorb, each
+  // of which is this rebuild under a subset of the rules (see passes.h).
+  const Circuit canonical = RebuildCone(circuit, CanonicalOptions(options));
+  record("canonicalize", circuit, canonical);
+  result.circuit = CompactCone(canonical, options);
+  record("compact-cone", canonical, result.circuit);
   return result;
 }
 

@@ -18,8 +18,18 @@
 //                  flags are off.
 //
 // Every pass preserves the values of all outputs (over the semiring class
-// its flags permit) and never increases the output-cone size. OptimizeForEval
-// chains them in a fixed order and reports per-pass shrinkage.
+// its flags permit) and never increases the output-cone size.
+//
+// Fold, CSE and absorb are each one bottom-up CircuitBuilder rebuild of the
+// cone under a subset of the builder's rules, so OptimizeForEval runs that
+// rebuild once under every rule the flags permit ("canonicalize") and then
+// CompactCone, to drop the gates its rewrites orphaned. The four passes stay
+// composable, and chained compact -> fold -> CSE -> absorb they are the
+// tests' reference (tests/pass_chain.h). On a circuit whose gates already
+// satisfy the universal identities, as every CircuitBuilder product does,
+// the two give the same plan slot for slot. On an arbitrary arena a gate
+// that folding orphans can still fix where its live structural twin lands,
+// so gates may come in another order, with the same cone and values.
 #ifndef DLCIRC_EVAL_PASSES_H_
 #define DLCIRC_EVAL_PASSES_H_
 
@@ -75,9 +85,9 @@ struct PipelineResult {
 using PassObserver =
     std::function<void(std::string_view pass_name, const Circuit& after)>;
 
-/// Runs CompactCone -> FoldConstants -> GlobalCse -> AbsorbPrune (the last
-/// only when options enable it) and records per-pass shrinkage. `observer`
-/// (optional) fires after every executed pass.
+/// Rebuilds the cone once under dedup and every rewrite `options` permit
+/// (step "canonicalize"), then compacts it (step "compact-cone"), recording
+/// each step's shrinkage. `observer` (optional) fires after each step.
 PipelineResult OptimizeForEval(const Circuit& circuit,
                                const PassOptions& options,
                                const PassObserver& observer = {});

@@ -26,6 +26,65 @@ TEST(BuilderTest, NormalizesCommutativeChildren) {
   EXPECT_EQ(b.Times(b.Input(2), b.Input(3)), b.Times(b.Input(3), b.Input(2)));
 }
 
+TEST(BuilderTest, DedupIsExactAcrossTableGrowth) {
+  // ~135k distinct (+)/(x) gates: over every pair of 300 inputs, then (x)
+  // over neighbouring (+) gates, so children range over the whole arena.
+  // The hash-cons table starts small and grows many times on the way.
+  struct Call {
+    GateKind kind;
+    GateId x, y;
+  };
+  constexpr uint32_t kVars = 300;
+  auto emit = [](CircuitBuilder& b, const Call& c) {
+    return c.kind == GateKind::kPlus ? b.Plus(c.x, c.y) : b.Times(c.x, c.y);
+  };
+  auto make_calls = [&](CircuitBuilder& b) {
+    std::vector<GateId> in, plus;
+    for (uint32_t v = 0; v < kVars; ++v) in.push_back(b.Input(v));
+    std::vector<Call> calls;
+    for (uint32_t i = 0; i < kVars; ++i) {
+      for (uint32_t j = i + 1; j < kVars; ++j) {
+        calls.push_back({GateKind::kPlus, in[i], in[j]});
+        plus.push_back(emit(b, calls.back()));
+        calls.push_back({GateKind::kTimes, in[i], in[j]});
+        emit(b, calls.back());
+      }
+    }
+    for (size_t k = 0; k + 1 < plus.size(); ++k) {
+      calls.push_back({GateKind::kTimes, plus[k], plus[k + 1]});
+      emit(b, calls.back());
+    }
+    return calls;
+  };
+
+  CircuitBuilder dedup(kVars);
+  const std::vector<Call> calls = make_calls(dedup);
+  ASSERT_GE(calls.size(), 100000u);
+  // Every call made a gate of its own, in call order after the inputs.
+  const GateId first = 2 + kVars;
+  ASSERT_EQ(dedup.num_gates(), first + calls.size());
+  size_t wrong = 0;
+  for (size_t k = 0; k < calls.size(); ++k) {
+    const GateId id = first + static_cast<GateId>(k);
+    const Call& c = calls[k];
+    if (emit(dedup, c) != id || emit(dedup, {c.kind, c.y, c.x}) != id) ++wrong;
+  }
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_EQ(dedup.num_gates(), first + calls.size());
+
+  CircuitBuilder::Options off;
+  off.dedup = false;
+  CircuitBuilder plain(kVars, off);
+  const std::vector<Call> plain_calls = make_calls(plain);
+  ASSERT_EQ(plain_calls.size(), calls.size());
+  size_t shared = 0;
+  for (const Call& c : plain_calls) {
+    const size_t before = plain.num_gates();
+    if (emit(plain, c) != before || plain.num_gates() != before + 1) ++shared;
+  }
+  EXPECT_EQ(shared, 0u);
+}
+
 TEST(BuilderTest, InputGatesAreDeduped) {
   CircuitBuilder b(2);
   EXPECT_EQ(b.Input(1), b.Input(1));

@@ -1,9 +1,11 @@
 // Randomized differential-testing harness: every evaluation path in the
 // engine — the seed Circuit::Evaluate, serial and parallel plan evaluation,
-// the optimizer pass pipeline, SoA batched evaluation, the bit-packed
-// Boolean kernel, and incremental delta updates (including the full-re-eval
-// fallback) — must agree with the naive recursive oracle (tests/oracle.h)
-// on random circuits and random delta streams, across all nine semirings.
+// the optimizer pass pipeline (whose plan must also equal the four-pass
+// reference chain's, tests/pass_chain.h), SoA batched evaluation, the
+// bit-packed Boolean kernel, and incremental delta updates (including the
+// full-re-eval fallback) — must agree with the naive recursive oracle
+// (tests/oracle.h) on random circuits and random delta streams, across all
+// nine semirings.
 //
 // Reproducibility: every case derives its own seed as base + index and every
 // assertion is wrapped in a SCOPED_TRACE carrying that seed. To re-run one
@@ -28,6 +30,7 @@
 #include "src/semiring/instances.h"
 #include "src/util/rng.h"
 #include "tests/oracle.h"
+#include "tests/pass_chain.h"
 #include "tests/random_circuits.h"
 
 namespace dlcirc {
@@ -75,6 +78,9 @@ void RunCase(uint64_t case_seed) {
   popts.absorptive = S::kIsAbsorptive;
   Circuit optimized = eval::OptimizeForEval(circuit, popts).circuit;
   EvalPlan opt_plan = EvalPlan::Build(optimized);
+  // Its one canonicalizing rebuild must give the four-pass chain's plan.
+  testing::ExpectSamePlan(
+      EvalPlan::Build(testing::ReferencePassChain(circuit, popts)), opt_plan);
 
   // --- full-evaluation paths -----------------------------------------------
   // The lane count covers one lane, counts off the kernel's lane block, and

@@ -3,7 +3,9 @@
 // EVERY ordering preserves the oracle values of every output and never
 // increases the output-cone size at any step — on real circuits from both
 // the grounded construction (Theorem 3.1) and the UVG construction
-// (Theorem 6.2), over the programs in tests/test_programs.h.
+// (Theorem 6.2), over the programs in tests/test_programs.h. On the same
+// circuits, OptimizeForEval's one canonicalizing rebuild must give the plan
+// of the chain compact -> fold -> CSE -> absorb, under every flag setting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,10 +17,12 @@
 #include "src/constructions/uvg_circuit.h"
 #include "src/datalog/grounding.h"
 #include "src/datalog/parser.h"
+#include "src/eval/evaluator.h"
 #include "src/eval/passes.h"
 #include "src/semiring/instances.h"
 #include "src/util/rng.h"
 #include "tests/oracle.h"
+#include "tests/pass_chain.h"
 #include "tests/test_programs.h"
 
 namespace dlcirc {
@@ -119,6 +123,22 @@ TEST(PassCompositionTest, EveryOrderingPreservesValuesAndNeverGrowsCone) {
     CheckAllOrderings<TropicalSemiring>(w);
     CheckAllOrderings<FuzzySemiring>(w);
     CheckAllOrderings<ViterbiSemiring>(w);
+  }
+}
+
+TEST(PassCompositionTest, OneRebuildGivesTheFourPassChainsPlan) {
+  const PassOptions flag_settings[] = {
+      PassOptions{}, PassOptions{.plus_idempotent = true},
+      PassOptions::ForAbsorptive()};
+  for (const Workload& w : AllWorkloads()) {
+    for (const PassOptions& opts : flag_settings) {
+      SCOPED_TRACE(w.label + (opts.absorptive        ? " absorptive"
+                              : opts.plus_idempotent ? " idempotent"
+                                                     : " no flags"));
+      testing::ExpectSamePlan(
+          eval::EvalPlan::Build(testing::ReferencePassChain(w.circuit, opts)),
+          eval::EvalPlan::Build(eval::OptimizeForEval(w.circuit, opts).circuit));
+    }
   }
 }
 
